@@ -116,7 +116,8 @@ pub enum AntiPatternKind {
 }
 
 impl AntiPatternKind {
-    /// Every kind, in Table 1 order (Readable Password appended).
+    /// Every kind, in Table 1 order (Readable Password appended). This is
+    /// also declaration order, so `kind as usize` indexes it.
     pub const ALL: [AntiPatternKind; 27] = [
         AntiPatternKind::MultiValuedAttribute,
         AntiPatternKind::NoPrimaryKey,
@@ -275,6 +276,10 @@ mod tests {
     #[test]
     fn catalog_has_27_kinds() {
         assert_eq!(AntiPatternKind::ALL.len(), 27);
+        // `kind as usize` indexes ALL (per-kind buckets in rank/report).
+        for (i, k) in AntiPatternKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i, "{k:?}");
+        }
         // 26 from Table 1 + Readable Password
         let non_extra = AntiPatternKind::ALL
             .iter()

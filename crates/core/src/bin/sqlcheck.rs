@@ -6,7 +6,9 @@
 //!
 //!   --intra-only         intra-query analysis only (§8.1 configuration 1)
 //!   --weights c1|c2      ranking weight preset (Fig 7a; default c1)
-//!   --rank-by count      inter-query model: AP count per query
+//!   --rank-by score|count
+//!                        inter-query model: summed impact (default) or
+//!                        AP count per query
 //!   --no-fix             detection + ranking only
 //!   --summary            per-kind histogram instead of full listing
 //!   --parallel           batch engine: template dedup + threaded detection
@@ -23,6 +25,17 @@
 //!                        rule unit failed (see --stats for details)
 //! ```
 //!
+//! Arguments are parsed strictly: an unknown flag, a missing or unknown
+//! flag value, or a second input exits 2 before any input is read. A
+//! flag's value is the argument right after it, so `--threads 4 4`
+//! reads the file `4`.
+//!
+//! Exit codes: 0 = no findings, 1 = findings, 2 = bad arguments or an
+//! IO error, 3 = degraded input under `--fail-on-degraded` (takes
+//! precedence over 1). A reader that closes the pipe early (`sqlcheck
+//! FILE | head`) ends the output quietly; the exit code is still the
+//! findings code.
+//!
 //! Note on `--cache`: the cache pays off across *repeated*
 //! `check_workload` calls on one `SqlCheck` instance (the library API);
 //! a single CLI invocation performs one check, so `--cache --stats`
@@ -36,76 +49,131 @@
 //! ```
 
 use sqlcheck::{
-    BatchOptions, DetectionConfig, DiagKind, Dialect, Fix, InterQueryModel, RankWeights, SqlCheck,
+    BatchOptions, CheckOutcome, DetectionConfig, DiagKind, Dialect, Fix, InterQueryModel,
+    RankWeights, SqlCheck,
 };
+use std::io::{self, BufWriter, ErrorKind, Write};
+
+/// Buffered, locked stdout: every byte of the report goes through one.
+type Out = BufWriter<io::StdoutLock<'static>>;
+
+/// Every flag the CLI accepts, with the value it takes (`None` for a
+/// switch). A value is always the next argument.
+const FLAGS: &[(&str, Option<&str>)] = &[
+    ("--help", None),
+    ("-h", None),
+    ("--intra-only", None),
+    ("--weights", Some("c1|c2")),
+    ("--rank-by", Some("score|count")),
+    ("--no-fix", None),
+    ("--summary", None),
+    ("--parallel", None),
+    ("--threads", Some("a non-negative integer")),
+    ("--stats", None),
+    ("--cache", None),
+    ("--dialect", Some("generic|postgres|mysql|sqlite")),
+    ("--fail-on-degraded", None),
+];
+
+/// The parsed command line.
+#[derive(Default)]
+struct Args {
+    help: bool,
+    intra_only: bool,
+    no_fix: bool,
+    summary: bool,
+    parallel: bool,
+    stats: bool,
+    cache: bool,
+    fail_on_degraded: bool,
+    /// `--weights`; C1 when absent.
+    weights: Option<RankWeights>,
+    inter_model: InterQueryModel,
+    /// `--threads` given: `Some(None)` is `--threads 0` (auto-detect).
+    threads: Option<Option<usize>>,
+    /// `--dialect` given; absent opts into auto-detection.
+    dialect: Option<Dialect>,
+    input: Option<String>,
+}
+
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut argv = argv.into_iter();
+    while let Some(arg) = argv.next() {
+        if arg == "-" || !arg.starts_with('-') {
+            if let Some(first) = &args.input {
+                return Err(format!("more than one input given ('{first}' and '{arg}')"));
+            }
+            args.input = Some(arg);
+            continue;
+        }
+        let Some(&(flag, expects)) = FLAGS.iter().find(|(name, _)| *name == arg) else {
+            return Err(format!("unknown flag '{arg}'"));
+        };
+        let value = match expects {
+            Some(expects) => match argv.next() {
+                Some(v) => v,
+                None => return Err(format!("{flag} expects {expects}")),
+            },
+            None => String::new(),
+        };
+        let bad_value = || format!("{flag} expects {}, got '{value}'", expects.unwrap_or(""));
+        match flag {
+            "--help" | "-h" => args.help = true,
+            "--intra-only" => args.intra_only = true,
+            "--no-fix" => args.no_fix = true,
+            "--summary" => args.summary = true,
+            "--parallel" => args.parallel = true,
+            "--stats" => args.stats = true,
+            "--cache" => args.cache = true,
+            "--fail-on-degraded" => args.fail_on_degraded = true,
+            "--weights" => {
+                args.weights = match value.to_ascii_lowercase().as_str() {
+                    "c1" => Some(RankWeights::C1),
+                    "c2" => Some(RankWeights::C2),
+                    _ => return Err(bad_value()),
+                }
+            }
+            "--rank-by" => {
+                args.inter_model = match value.as_str() {
+                    "score" => InterQueryModel::ByScore,
+                    "count" => InterQueryModel::ByApCount,
+                    _ => return Err(bad_value()),
+                }
+            }
+            // `--threads 0` means auto-detect (`available_parallelism`),
+            // the same as leaving the worker count to `--parallel`.
+            "--threads" => {
+                let n = value.parse::<usize>().map_err(|_| bad_value())?;
+                args.threads = Some((n > 0).then_some(n));
+            }
+            "--dialect" => args.dialect = Some(Dialect::parse(&value).ok_or_else(bad_value)?),
+            _ => unreachable!("every FLAGS entry is handled"),
+        }
+    }
+    Ok(args)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print_help();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("sqlcheck: {msg} (see 'sqlcheck --help')");
+            std::process::exit(2);
+        }
+    };
+    if args.help {
+        emit(|out| out.write_all(HELP.as_bytes()));
         return;
     }
-    let intra_only = args.iter().any(|a| a == "--intra-only");
-    let no_fix = args.iter().any(|a| a == "--no-fix");
-    let summary = args.iter().any(|a| a == "--summary");
-    let stats = args.iter().any(|a| a == "--stats");
-    let cache = args.iter().any(|a| a == "--cache");
-    let fail_on_degraded = args.iter().any(|a| a == "--fail-on-degraded");
-    // `--threads 0` means auto-detect (`available_parallelism`), the
-    // same as leaving the worker count to `--parallel`.
-    let mut threads_given = false;
-    let threads = match arg_value(&args, "--threads") {
-        Some(t) => match t.parse::<usize>() {
-            Ok(0) => {
-                threads_given = true;
-                None
-            }
-            Ok(n) => {
-                threads_given = true;
-                Some(n)
-            }
-            _ => {
-                eprintln!("sqlcheck: --threads expects a non-negative integer, got '{t}'");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
     // An explicit thread count (auto included) implies parallel execution.
-    let parallel = args.iter().any(|a| a == "--parallel") || threads_given;
-    let weights = match arg_value(&args, "--weights").unwrap_or("c1").to_ascii_lowercase().as_str()
-    {
-        "c2" => RankWeights::C2,
-        _ => RankWeights::C1,
-    };
-    let inter_model = match arg_value(&args, "--rank-by") {
-        Some("count") => InterQueryModel::ByApCount,
-        _ => InterQueryModel::ByScore,
-    };
+    let parallel = args.parallel || args.threads.is_some();
     // --dialect pins the front door; leaving it off opts into
     // auto-detection (an explicit choice always suppresses the guess).
-    let dialect_arg = arg_value(&args, "--dialect");
-    let dialect = match dialect_arg {
-        Some(name) => match Dialect::parse(name) {
-            Some(d) => d,
-            None => {
-                eprintln!(
-                    "sqlcheck: unknown dialect '{name}' (expected generic, postgres, \
-                     mysql, or sqlite)"
-                );
-                std::process::exit(2);
-            }
-        },
-        None => Dialect::Generic,
-    };
-    let detect_dialect = dialect_arg.is_none();
+    let dialect = args.dialect.unwrap_or(Dialect::Generic);
+    let detect_dialect = args.dialect.is_none();
 
-    let input = args
-        .iter()
-        .rev()
-        .find(|a| !a.starts_with("--") && !is_flag_value(&args, a))
-        .map(String::as_str)
-        .unwrap_or("-");
+    let input = args.input.as_deref().unwrap_or("-");
     // Files are memory-mapped (Unix): the splitter reads the page cache
     // directly, so multi-GB dumps stream without a userspace copy.
     let sql = if input == "-" {
@@ -127,112 +195,30 @@ fn main() {
     };
 
     let mut tool = SqlCheck::new()
-        .with_weights(weights)
-        .with_inter_query_model(inter_model)
+        .with_weights(args.weights.unwrap_or(RankWeights::C1))
+        .with_inter_query_model(args.inter_model)
         .with_dialect(dialect)
         .with_dialect_detection(detect_dialect);
-    if intra_only {
+    if args.intra_only {
         tool = tool.with_detection(DetectionConfig::intra_only());
     }
-    if cache {
+    if args.cache {
         tool = tool.with_cache(sqlcheck::detect::DEFAULT_CACHE_CAPACITY);
     }
     // --parallel / --stats / --threads / --cache route through the batch
     // engine (identical detections; parse-once front-end, template dedup,
     // optional threading and incremental caching).
-    let outcome = if parallel || stats || cache {
+    let outcome = if parallel || args.stats || args.cache {
         let opts = BatchOptions {
             parallel,
-            threads,
+            threads: args.threads.flatten(),
             dialect,
             detect_dialect,
             ..BatchOptions::default()
         };
         let w = tool.check_workload(&sql, &opts);
-        if stats {
-            let s = &w.stats;
-            let resolved = w.outcome.context.dialect;
-            eprintln!(
-                "stats: dialect {} ({})",
-                resolved,
-                if dialect_arg.is_some() {
-                    "explicit"
-                } else if resolved == Dialect::Generic {
-                    "default"
-                } else {
-                    "guessed"
-                },
-            );
-            eprintln!(
-                "stats: {} statement(s), {} unique template(s), {} unique text(s), \
-                 {} cache hit(s), {} thread(s) ({} requested; 0 = auto)",
-                s.statements,
-                s.unique_templates,
-                s.unique_texts,
-                s.cache_hits,
-                s.threads,
-                s.requested_threads,
-            );
-            eprintln!(
-                "stats: front-end fused split {}us, materialize {}us, parse {}us, \
-                 annotate {}us, context {}us",
-                s.split_micros,
-                s.materialize_micros,
-                s.parse_micros,
-                s.annotate_micros,
-                s.context_micros,
-            );
-            eprintln!(
-                "stats: detect group {}us, intra {}us, fanout {}us, inter {}us, \
-                 data {}us, total {}us",
-                s.group_micros,
-                s.intra_micros,
-                s.fanout_micros,
-                s.inter_micros,
-                s.data_micros,
-                s.total_micros,
-            );
-            eprintln!(
-                "stats: worker busy max {}us, min {}us across {} worker(s)",
-                s.worker_busy_max(),
-                s.worker_busy_min(),
-                s.worker_busy_micros.len(),
-            );
-            if cache {
-                eprintln!(
-                    "stats: incremental cache {} hit(s), {} miss(es), {} eviction(s) \
-                     ({} table-granular, {} column-granular)",
-                    s.incremental_hits,
-                    s.incremental_misses,
-                    s.incremental_evictions,
-                    s.table_evictions,
-                    s.column_evictions,
-                );
-                eprintln!(
-                    "stats: unit memo inter {} reused / {} recomputed, \
-                     data {} reused / {} recomputed",
-                    s.inter_units_reused,
-                    s.inter_units_recomputed,
-                    s.data_units_reused,
-                    s.data_units_recomputed,
-                );
-            }
-            eprintln!(
-                "stats: parse coverage {:.4} — {} degraded statement(s) across \
-                 {} degraded unique text(s), {} isolated rule failure(s)",
-                s.parse_coverage(),
-                s.degraded_statements,
-                s.degraded_uniques,
-                s.rule_failures,
-            );
-            let kinds: Vec<String> = DiagKind::ALL
-                .iter()
-                .filter(|k| s.diag_counts[k.index()] > 0)
-                .map(|k| format!("{} {}", k.name(), s.diag_counts[k.index()]))
-                .collect();
-            if !kinds.is_empty() {
-                eprintln!("stats: diagnostics by kind: {}", kinds.join(", "));
-            }
+        if args.stats {
+            print_stats(&w, &args);
         }
         w.outcome
     } else {
@@ -243,73 +229,24 @@ fn main() {
     // than the informational delimiter-fallback and dialect-guessed
     // notices was emitted — detection ran, but on reduced-fidelity
     // input. Takes precedence over the findings exit code (1).
-    let degraded_exit = fail_on_degraded
+    let degraded_exit = args.fail_on_degraded
         && outcome.diagnostics.iter().any(|d| {
             !matches!(
                 d.kind,
                 DiagKind::DelimiterFallbackSequential | DiagKind::DialectGuessed
             )
         });
-    if degraded_exit && stats {
+    if degraded_exit && args.stats {
         for d in &outcome.diagnostics {
             eprintln!("degraded: {d}");
         }
     }
 
-    if outcome.ranked().is_empty() {
-        println!("no anti-patterns detected in {} statement(s)", outcome.context.len());
-        finish(degraded_exit, false);
-    }
-
-    if summary {
-        println!("{:<30} {:>6}", "anti-pattern", "count");
-        for (kind, n) in outcome.report.by_kind() {
-            println!("{:<30} {:>6}", kind.name(), n);
-        }
-        println!("{:<30} {:>6}", "total", outcome.report.detections.len());
-        finish(degraded_exit, true);
-    }
-
-    for (i, (r, f)) in outcome.ranked().iter().zip(outcome.fixes()).enumerate() {
-        // Per-occurrence source location: duplicate statements each point
-        // at their own bytes, not the first occurrence's.
-        let at = match r.detection.span {
-            Some(s) => format!(" [bytes {s}]"),
-            None => String::new(),
-        };
-        println!(
-            "{:>3}. [{:.3}] {} ({}) @ {}{}",
-            i + 1,
-            r.score,
-            r.detection.kind,
-            r.detection.kind.category(),
-            r.detection.locus,
-            at
-        );
-        println!("     {}", r.detection.message);
-        if no_fix {
-            continue;
-        }
-        match &f.fix {
-            Fix::Rewrite { fixed, .. } => println!("     fix: {fixed}"),
-            Fix::SchemaChange { statements, impacted_queries } => {
-                for s in statements {
-                    println!("     fix: {s}");
-                }
-                for (idx, q) in impacted_queries {
-                    println!("     impacted #{idx}: {q}");
-                }
-            }
-            Fix::Textual { advice } => println!("     advice: {advice}"),
-        }
-    }
-    // Exit code signals findings, like familiar linters.
-    finish(degraded_exit, true);
-}
-
-/// Final exit: degraded input (3, under --fail-on-degraded) takes
-/// precedence over findings (1); a clean run exits 0.
-fn finish(degraded_exit: bool, found: bool) -> ! {
+    let found = !outcome.report.detections.is_empty();
+    emit(|out| render(out, &outcome, &args));
+    // Exit code signals findings, like familiar linters: degraded input
+    // (3, under --fail-on-degraded) takes precedence over findings (1);
+    // a clean run exits 0.
     std::process::exit(if degraded_exit {
         3
     } else if found {
@@ -319,33 +256,167 @@ fn finish(degraded_exit: bool, found: bool) -> ! {
     })
 }
 
-fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+/// Write to stdout through one buffer and flush it (`process::exit`
+/// skips destructors). A closed pipe ends the output quietly; any other
+/// write error exits 2.
+fn emit(write: impl FnOnce(&mut Out) -> io::Result<()>) {
+    let mut out = BufWriter::with_capacity(1 << 16, io::stdout().lock());
+    match write(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("sqlcheck: cannot write the report: {e}");
+            std::process::exit(2);
+        }
+        _ => {}
+    }
 }
 
-fn is_flag_value(args: &[String], candidate: &String) -> bool {
-    args.iter()
-        .position(|a| a == candidate)
-        .map(|i| {
-            i > 0
-                && matches!(
-                    args[i - 1].as_str(),
-                    "--weights" | "--rank-by" | "--threads" | "--dialect"
-                )
-        })
-        .unwrap_or(false)
+/// The report: a no-findings line, the per-kind summary, or the ranked
+/// listing with each finding's fix (fixes are only synthesised when
+/// printed).
+fn render(out: &mut impl Write, outcome: &CheckOutcome, args: &Args) -> io::Result<()> {
+    let report = &outcome.report;
+    if report.detections.is_empty() {
+        return writeln!(out, "no anti-patterns detected in {} statement(s)", outcome.context.len());
+    }
+    if args.summary {
+        writeln!(out, "{:<30} {:>6}", "anti-pattern", "count")?;
+        for (kind, n) in report.by_kind() {
+            writeln!(out, "{:<30} {:>6}", kind.name(), n)?;
+        }
+        return writeln!(out, "{:<30} {:>6}", "total", report.detections.len());
+    }
+    let fixes = if args.no_fix { &[][..] } else { outcome.fixes() };
+    for (i, r) in outcome.ranked().iter().enumerate() {
+        let d = &r.detection;
+        write!(
+            out,
+            "{:>3}. [{:.3}] {} ({}) @ {}",
+            i + 1,
+            r.score,
+            d.kind,
+            d.kind.category(),
+            d.locus
+        )?;
+        // Per-occurrence source location: duplicate statements each point
+        // at their own bytes, not the first occurrence's.
+        if let Some(s) = d.span {
+            write!(out, " [bytes {s}]")?;
+        }
+        writeln!(out, "\n     {}", d.message)?;
+        match fixes.get(i).map(|f| &f.fix) {
+            None => {}
+            Some(Fix::Rewrite { fixed, .. }) => writeln!(out, "     fix: {fixed}")?,
+            Some(Fix::SchemaChange { statements, impacted_queries }) => {
+                for s in statements {
+                    writeln!(out, "     fix: {s}")?;
+                }
+                for (idx, q) in impacted_queries {
+                    writeln!(out, "     impacted #{idx}: {q}")?;
+                }
+            }
+            Some(Fix::Textual { advice }) => writeln!(out, "     advice: {advice}")?,
+        }
+    }
+    Ok(())
 }
 
-fn print_help() {
-    println!(
-        "sqlcheck — detect, rank, and fix SQL anti-patterns (SIGMOD 2020 reproduction)\n\n\
-         usage: sqlcheck [--intra-only] [--weights c1|c2] [--rank-by count] \n\
-                         [--no-fix] [--summary] [--parallel] [--threads N] \n\
-                         [--stats] [--cache] [--dialect generic|postgres|mysql|sqlite] \n\
-                         [--fail-on-degraded] [FILE|-]\n\n\
-         Reads SQL from FILE (or stdin with '-'), prints ranked anti-patterns\n\
-         with suggested fixes. Exits 1 when anti-patterns are found; with\n\
-         --fail-on-degraded, exits 3 when any statement parsed degraded or a\n\
-         rule unit was isolated after a panic."
+/// `--stats`: batch-engine instrumentation on stderr.
+fn print_stats(w: &sqlcheck::WorkloadOutcome, args: &Args) {
+    let s = &w.stats;
+    let resolved = w.outcome.context.dialect;
+    eprintln!(
+        "stats: dialect {} ({})",
+        resolved,
+        if args.dialect.is_some() {
+            "explicit"
+        } else if resolved == Dialect::Generic {
+            "default"
+        } else {
+            "guessed"
+        },
     );
+    eprintln!(
+        "stats: {} statement(s), {} unique template(s), {} unique text(s), \
+         {} cache hit(s), {} thread(s) ({} requested; 0 = auto)",
+        s.statements,
+        s.unique_templates,
+        s.unique_texts,
+        s.cache_hits,
+        s.threads,
+        s.requested_threads,
+    );
+    eprintln!(
+        "stats: front-end fused split {}us, materialize {}us, parse {}us, \
+         annotate {}us, context {}us",
+        s.split_micros,
+        s.materialize_micros,
+        s.parse_micros,
+        s.annotate_micros,
+        s.context_micros,
+    );
+    eprintln!(
+        "stats: detect group {}us, intra {}us, fanout {}us, inter {}us, \
+         data {}us, total {}us",
+        s.group_micros,
+        s.intra_micros,
+        s.fanout_micros,
+        s.inter_micros,
+        s.data_micros,
+        s.total_micros,
+    );
+    eprintln!(
+        "stats: worker busy max {}us, min {}us across {} worker(s)",
+        s.worker_busy_max(),
+        s.worker_busy_min(),
+        s.worker_busy_micros.len(),
+    );
+    if args.cache {
+        eprintln!(
+            "stats: incremental cache {} hit(s), {} miss(es), {} eviction(s) \
+             ({} table-granular, {} column-granular)",
+            s.incremental_hits,
+            s.incremental_misses,
+            s.incremental_evictions,
+            s.table_evictions,
+            s.column_evictions,
+        );
+        eprintln!(
+            "stats: unit memo inter {} reused / {} recomputed, \
+             data {} reused / {} recomputed",
+            s.inter_units_reused,
+            s.inter_units_recomputed,
+            s.data_units_reused,
+            s.data_units_recomputed,
+        );
+    }
+    eprintln!(
+        "stats: parse coverage {:.4} — {} degraded statement(s) across \
+         {} degraded unique text(s), {} isolated rule failure(s)",
+        s.parse_coverage(),
+        s.degraded_statements,
+        s.degraded_uniques,
+        s.rule_failures,
+    );
+    let kinds: Vec<String> = DiagKind::ALL
+        .iter()
+        .filter(|k| s.diag_counts[k.index()] > 0)
+        .map(|k| format!("{} {}", k.name(), s.diag_counts[k.index()]))
+        .collect();
+    if !kinds.is_empty() {
+        eprintln!("stats: diagnostics by kind: {}", kinds.join(", "));
+    }
 }
+
+const HELP: &str = "\
+sqlcheck — detect, rank, and fix SQL anti-patterns (SIGMOD 2020 reproduction)
+
+usage: sqlcheck [--intra-only] [--weights c1|c2] [--rank-by score|count]
+                [--no-fix] [--summary] [--parallel] [--threads N]
+                [--stats] [--cache] [--dialect generic|postgres|mysql|sqlite]
+                [--fail-on-degraded] [FILE|-]
+
+Reads SQL from FILE (or stdin with '-'), prints ranked anti-patterns
+with suggested fixes. Exits 1 when anti-patterns are found, 2 on a bad
+argument or an IO error; with --fail-on-degraded, exits 3 when any
+statement parsed degraded or a rule unit was isolated after a panic.
+";

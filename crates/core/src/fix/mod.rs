@@ -17,8 +17,11 @@
 pub mod textual;
 pub mod transforms;
 
+use crate::anti_pattern::AntiPatternKind;
 use crate::context::Context;
-use crate::report::Detection;
+use crate::hashutil::Prehashed;
+use crate::report::{Detection, Locus};
+use std::collections::HashMap;
 
 /// A suggested fix.
 #[derive(Debug, Clone)]
@@ -68,8 +71,15 @@ pub struct FixEngine;
 impl FixEngine {
     /// Suggest a fix for one detection.
     pub fn fix(&self, detection: &Detection, ctx: &Context) -> Fix {
+        self.transform(detection, ctx).unwrap_or_else(|| Fix::Textual {
+            advice: textual::advice(detection, ctx),
+        })
+    }
+
+    /// The non-ambiguous transformation for a detection, if any.
+    fn transform(&self, detection: &Detection, ctx: &Context) -> Option<Fix> {
         use crate::anti_pattern::AntiPatternKind::*;
-        let transformed = match detection.kind {
+        match detection.kind {
             ImplicitColumns => transforms::implicit_columns(detection, ctx),
             ColumnWildcard => transforms::column_wildcard(detection, ctx),
             ConcatenateNulls => transforms::concatenate_nulls(detection, ctx),
@@ -81,17 +91,39 @@ impl FixEngine {
             IndexOveruse => transforms::index_overuse(detection, ctx),
             RoundingErrors => transforms::rounding_errors(detection, ctx),
             _ => None,
-        };
-        transformed.unwrap_or_else(|| Fix::Textual {
-            advice: textual::advice(detection, ctx),
-        })
+        }
     }
 
     /// Suggest fixes for an ordered detection list (Algorithm 4's loop).
-    pub fn fix_all(&self, detections: &[Detection], ctx: &Context) -> Vec<SuggestedFix> {
+    ///
+    /// A transform reads only the kind, the locus and — for a statement
+    /// locus — that statement's parse and annotations, which every
+    /// occurrence of its text shares. So each transform runs once per
+    /// (unique text, kind) or (kind, other locus) per call, the `None`
+    /// fallback included: a log of many duplicate statements pays for
+    /// one rewrite per unique text. The textual advice names its
+    /// occurrence (`statement #N`) and stays per detection.
+    pub fn fix_all<'a>(
+        &self,
+        detections: impl IntoIterator<Item = &'a Detection>,
+        ctx: &Context,
+    ) -> Vec<SuggestedFix> {
+        let mut by_text: HashMap<(u128, AntiPatternKind), Option<Fix>, Prehashed> =
+            HashMap::default();
+        let mut by_locus: HashMap<(AntiPatternKind, &Locus), Option<Fix>> = HashMap::new();
         detections
-            .iter()
-            .map(|d| SuggestedFix { detection: d.clone(), fix: self.fix(d, ctx) })
+            .into_iter()
+            .map(|d| {
+                let transform = || self.transform(d, ctx);
+                let transformed = match d.statement_index().and_then(|i| ctx.statements.get(i)) {
+                    Some(s) => by_text.entry((s.text_hash, d.kind)).or_insert_with(transform),
+                    None => by_locus.entry((d.kind, &d.locus)).or_insert_with(transform),
+                };
+                let fix = transformed
+                    .clone()
+                    .unwrap_or_else(|| Fix::Textual { advice: textual::advice(d, ctx) });
+                SuggestedFix { detection: d.clone(), fix }
+            })
             .collect()
     }
 }

@@ -4,131 +4,158 @@
 use crate::anti_pattern::AntiPatternKind;
 use crate::context::Context;
 use crate::report::{Detection, Locus};
+use std::fmt::Write as _;
 
 /// Produce the textual fix for a detection, weaving in the locus so the
 /// advice is tailored to the application rather than generic.
 pub fn advice(d: &Detection, ctx: &Context) -> String {
-    use AntiPatternKind::*;
-    let site = site_name(d);
-    match d.kind {
-        MultiValuedAttribute => format!(
-            "Replace the delimiter-separated list in {site} with an intersection table \
-             carrying one row per (owner, member) pair; add foreign keys to both referenced \
-             tables and a composite primary key."
-        ),
-        NoPrimaryKey => format!(
-            "Declare a PRIMARY KEY on {site}. {}",
+    // The site (`statement #N`, `column t.c`, ...) is the locus, written
+    // between a fixed head and tail into one exactly sized buffer: this
+    // runs once per finding, tens of thousands of times on a large log.
+    let (head, tail) = template(d.kind);
+    let extra = match d.kind {
+        AntiPatternKind::NoPrimaryKey => Some(
             pk_candidate(d, ctx)
                 .map(|c| format!("Column '{c}' looks like a natural key."))
-                .unwrap_or_else(|| "Add a natural key or a surrogate key column.".into())
+                .unwrap_or_else(|| "Add a natural key or a surrogate key column.".into()),
         ),
-        NoForeignKey => format!(
-            "Declare a FOREIGN KEY for {site} so the DBMS enforces referential integrity \
-             instead of application code."
-        ),
-        GenericPrimaryKey => format!(
-            "Rename the generic 'id' key in {site} to a descriptive name (e.g. <table>_id) \
-             so joins read unambiguously and USING clauses become possible."
-        ),
-        DataInMetadata => format!(
-            "Move the values encoded in {site}'s column names into rows of a child table \
-             (one row per value) instead of numbered columns."
-        ),
-        AdjacencyList => format!(
-            "{site} models a hierarchy as an adjacency list; consider a path enumeration, \
-             nested set, or closure table design — or recursive CTEs where the DBMS \
-             supports them."
-        ),
-        GodTable => format!(
-            "Split {site} into cohesive entities; move rarely-used or nullable column \
-             groups into 1:1 satellite tables."
-        ),
-        RoundingErrors => format!(
-            "Store fractional values in {site} as NUMERIC/DECIMAL with explicit precision \
-             instead of binary FLOAT."
-        ),
-        EnumeratedTypes => format!(
-            "Replace the fixed value set on {site} with a lookup table and a foreign key; \
-             new values then require an INSERT instead of an ALTER."
-        ),
-        ExternalDataStorage => format!(
-            "{site} stores file paths; store the content in the database (BLOB) or enforce \
-             path integrity in one place — orphaned files violate integrity silently."
-        ),
-        IndexOveruse => format!(
-            "Drop or consolidate {site}: every write pays for index maintenance. Prefer one \
-             composite index serving several queries over many single-column indexes."
-        ),
-        IndexUnderuse => format!(
-            "Create an index covering the predicate on {site} — the workload filters on it \
-             repeatedly without index support."
-        ),
-        CloneTable => format!(
-            "Merge the cloned tables ({site}) into one table with a discriminator column; \
-             use partitioning if volume demands it."
-        ),
-        ColumnWildcard => format!(
-            "List the needed columns explicitly in {site}; SELECT * couples the application \
-             to the physical column order and fetches unused data."
-        ),
-        ConcatenateNulls => format!(
-            "Wrap nullable operands in COALESCE(col, '') in {site}, or use CONCAT_WS — \
-             '||' yields NULL if any operand is NULL."
-        ),
-        OrderingByRand => format!(
-            "Avoid ORDER BY RAND() in {site}: pick a random key instead, e.g. \
-             `WHERE key >= <random value> ORDER BY key LIMIT 1`, or sample row ids in the \
-             application."
-        ),
-        PatternMatching => format!(
-            "The pattern predicate in {site} defeats indexing. Use a prefix pattern, a \
-             full-text index, or a dedicated search engine for substring/regex search."
-        ),
-        ImplicitColumns => format!(
-            "Spell out the column list in {site}; implicit columns silently corrupt data \
-             when the schema evolves."
-        ),
-        DistinctJoin => format!(
-            "In {site}, DISTINCT hides duplicates created by the join; restructure as a \
-             semi-join (EXISTS / IN) that never produces them."
-        ),
-        TooManyJoins => format!(
-            "{site} exceeds the join threshold; consider materialising a pre-joined view, \
-             denormalising hot attributes, or splitting the query."
-        ),
-        ReadablePassword => format!(
-            "Never store or compare plain-text passwords ({site}); store a salted adaptive \
-             hash (bcrypt/argon2) and compare digests."
-        ),
-        MissingTimezone => format!(
-            "Declare {site} WITH TIME ZONE (or store UTC and convert at the edge); naive \
-             timestamps corrupt cross-timezone data."
-        ),
-        IncorrectDataType => format!(
-            "{site} stores numeric data as text; migrate to a numeric type to regain \
-             comparison semantics, index order, and storage density."
-        ),
-        DenormalizedTable => format!(
-            "Extract the repeated values of {site} into a lookup table referenced by id."
-        ),
-        InformationDuplication => format!(
-            "{site} stores derivable data; compute it at query time (or in a view/generated \
-             column) so the two copies can never disagree."
-        ),
-        RedundantColumn => format!(
-            "{site} carries no information (constant or all NULL); drop it."
-        ),
-        NoDomainConstraint => format!(
-            "Add a CHECK constraint to {site} enforcing the bounded domain the data already \
-             follows."
-        ),
+        _ => None,
+    };
+    let mut out = String::with_capacity(
+        head.len() + 24 + tail.len() + extra.as_ref().map_or(0, String::len),
+    );
+    out.push_str(head);
+    let _ = write!(out, "{}", d.locus);
+    out.push_str(tail);
+    if let Some(extra) = extra {
+        out.push_str(&extra);
     }
+    out
 }
 
-fn site_name(d: &Detection) -> String {
-    match &d.locus {
-        Locus::Statement { index } => format!("statement #{index}"),
-        other => other.to_string(),
+/// The advice around the site, per kind: `(head, tail)`.
+fn template(kind: AntiPatternKind) -> (&'static str, &'static str) {
+    use AntiPatternKind::*;
+    match kind {
+        MultiValuedAttribute => (
+            "Replace the delimiter-separated list in ",
+            " with an intersection table carrying one row per (owner, member) pair; add foreign \
+             keys to both referenced tables and a composite primary key.",
+        ),
+        NoPrimaryKey => ("Declare a PRIMARY KEY on ", ". "),
+        NoForeignKey => (
+            "Declare a FOREIGN KEY for ",
+            " so the DBMS enforces referential integrity instead of application code.",
+        ),
+        GenericPrimaryKey => (
+            "Rename the generic 'id' key in ",
+            " to a descriptive name (e.g. <table>_id) so joins read unambiguously and USING \
+             clauses become possible.",
+        ),
+        DataInMetadata => (
+            "Move the values encoded in ",
+            "'s column names into rows of a child table (one row per value) instead of numbered \
+             columns.",
+        ),
+        AdjacencyList => (
+            "",
+            " models a hierarchy as an adjacency list; consider a path enumeration, nested set, \
+             or closure table design — or recursive CTEs where the DBMS supports them.",
+        ),
+        GodTable => (
+            "Split ",
+            " into cohesive entities; move rarely-used or nullable column groups into 1:1 \
+             satellite tables.",
+        ),
+        RoundingErrors => (
+            "Store fractional values in ",
+            " as NUMERIC/DECIMAL with explicit precision instead of binary FLOAT.",
+        ),
+        EnumeratedTypes => (
+            "Replace the fixed value set on ",
+            " with a lookup table and a foreign key; new values then require an INSERT instead of \
+             an ALTER.",
+        ),
+        ExternalDataStorage => (
+            "",
+            " stores file paths; store the content in the database (BLOB) or enforce path \
+             integrity in one place — orphaned files violate integrity silently.",
+        ),
+        IndexOveruse => (
+            "Drop or consolidate ",
+            ": every write pays for index maintenance. Prefer one composite index serving several \
+             queries over many single-column indexes.",
+        ),
+        IndexUnderuse => (
+            "Create an index covering the predicate on ",
+            " — the workload filters on it repeatedly without index support.",
+        ),
+        CloneTable => (
+            "Merge the cloned tables (",
+            ") into one table with a discriminator column; use partitioning if volume demands it.",
+        ),
+        ColumnWildcard => (
+            "List the needed columns explicitly in ",
+            "; SELECT * couples the application to the physical column order and fetches unused \
+             data.",
+        ),
+        ConcatenateNulls => (
+            "Wrap nullable operands in COALESCE(col, '') in ",
+            ", or use CONCAT_WS — '||' yields NULL if any operand is NULL.",
+        ),
+        OrderingByRand => (
+            "Avoid ORDER BY RAND() in ",
+            ": pick a random key instead, e.g. \
+             `WHERE key >= <random value> ORDER BY key LIMIT 1`, or sample row ids in the \
+             application.",
+        ),
+        PatternMatching => (
+            "The pattern predicate in ",
+            " defeats indexing. Use a prefix pattern, a full-text index, or a dedicated search \
+             engine for substring/regex search.",
+        ),
+        ImplicitColumns => (
+            "Spell out the column list in ",
+            "; implicit columns silently corrupt data when the schema evolves.",
+        ),
+        DistinctJoin => (
+            "In ",
+            ", DISTINCT hides duplicates created by the join; restructure as a semi-join \
+             (EXISTS / IN) that never produces them.",
+        ),
+        TooManyJoins => (
+            "",
+            " exceeds the join threshold; consider materialising a pre-joined view, denormalising \
+             hot attributes, or splitting the query.",
+        ),
+        ReadablePassword => (
+            "Never store or compare plain-text passwords (",
+            "); store a salted adaptive hash (bcrypt/argon2) and compare digests.",
+        ),
+        MissingTimezone => (
+            "Declare ",
+            " WITH TIME ZONE (or store UTC and convert at the edge); naive timestamps corrupt \
+             cross-timezone data.",
+        ),
+        IncorrectDataType => (
+            "",
+            " stores numeric data as text; migrate to a numeric type to regain comparison \
+             semantics, index order, and storage density.",
+        ),
+        DenormalizedTable => (
+            "Extract the repeated values of ",
+            " into a lookup table referenced by id.",
+        ),
+        InformationDuplication => (
+            "",
+            " stores derivable data; compute it at query time (or in a view/generated column) so \
+             the two copies can never disagree.",
+        ),
+        RedundantColumn => ("", " carries no information (constant or all NULL); drop it."),
+        NoDomainConstraint => (
+            "Add a CHECK constraint to ",
+            " enforcing the bounded domain the data already follows.",
+        ),
     }
 }
 

@@ -15,7 +15,8 @@ impl Hasher for PrehashedHasher {
         self.0
     }
     fn write(&mut self, bytes: &[u8]) {
-        // Only u128 keys are ever hashed here; fold whatever arrives.
+        // Keys are u128 hashes, possibly paired with a small tag (an
+        // enum discriminant) that arrives here; fold it in.
         for chunk in bytes.chunks(8) {
             let mut b = [0u8; 8];
             b[..chunk.len()].copy_from_slice(chunk);

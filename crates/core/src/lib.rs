@@ -190,9 +190,7 @@ impl CheckOutcome {
     /// on first access (forcing the ranking too) and memoized.
     pub fn fixes(&self) -> &[SuggestedFix] {
         self.fixes.get_or_init(|| {
-            let ordered: Vec<Detection> =
-                self.ranked().iter().map(|r| r.detection.clone()).collect();
-            FixEngine.fix_all(&ordered, &self.context)
+            FixEngine.fix_all(self.ranked().iter().map(|r| &r.detection), &self.context)
         })
     }
 
@@ -401,27 +399,19 @@ impl SqlCheck {
         extra
     }
 
-    /// Run the full pipeline over a SQL script.
+    /// Run the full pipeline over a SQL script. Detection runs on the
+    /// batch engine's single-thread path (intra-query rules once per
+    /// unique statement text, fanned out to every occurrence, each rule
+    /// unit panic-isolated); its report is byte-identical to
+    /// [`Detector::detect`].
     pub fn check_script(&self, script: &str) -> CheckOutcome {
         let frontend = FrontendOptions {
             dialect: self.dialect,
             detect_dialect: self.detect_dialect,
             ..FrontendOptions::default()
         };
-        let mut builder = ContextBuilder::new().with_frontend(frontend).add_script(script);
-        if let Some(db) = &self.database {
-            builder = builder.with_shared_database(db.clone(), self.data_cfg.clone());
-        }
-        let context = builder.build();
-        let mut diagnostics = parse_diagnostics(&context);
-        let mut report = self.detector.detect(&context);
-        // Custom-rule detections get their spans attached separately: the
-        // detector's own detections already carry absolute spans (and a
-        // span a custom rule set itself is absolute and kept as-is).
-        let mut extra = self.run_registry(&context, &mut diagnostics);
-        detect::attach_default_spans(&mut extra, &context);
-        report.detections.extend(extra);
-        CheckOutcome::new(context, report, diagnostics, self.ranker.clone())
+        let context = self.build_context(frontend, script).build();
+        self.detect(context, &BatchOptions::sequential(), None).outcome
     }
 
     /// Run the full pipeline over a large workload using the parse-once
@@ -451,13 +441,29 @@ impl SqlCheck {
             dialect,
             detect_dialect,
         };
-        let mut builder =
-            ContextBuilder::new().with_frontend(frontend).add_script(script);
-        if let Some(db) = &self.database {
-            builder = builder.with_shared_database(db.clone(), self.data_cfg.clone());
+        let (context, fe_stats) = self.build_context(frontend, script).build_with_stats();
+        let mut w = self.detect(context, opts, self.cache.as_deref());
+        w.stats.absorb_frontend(&fe_stats);
+        w
+    }
+
+    fn build_context(&self, frontend: FrontendOptions, script: &str) -> ContextBuilder {
+        let builder = ContextBuilder::new().with_frontend(frontend).add_script(script);
+        match &self.database {
+            Some(db) => builder.with_shared_database(db.clone(), self.data_cfg.clone()),
+            None => builder,
         }
-        let (context, fe_stats) = builder.build_with_stats();
-        let batch = self.detector.detect_batch_with(&context, opts, self.cache.as_deref());
+    }
+
+    /// Batch detection plus the custom-rule registry over a built
+    /// context: parse diagnostics first, then isolated rule failures.
+    fn detect(
+        &self,
+        context: Context,
+        opts: &BatchOptions,
+        cache: Option<&IncrementalCache>,
+    ) -> WorkloadOutcome {
+        let batch = self.detector.detect_batch_with(&context, opts, cache);
         let mut report = batch.report;
         let mut stats = batch.stats;
         let mut diagnostics = parse_diagnostics(&context);
@@ -467,9 +473,11 @@ impl SqlCheck {
         let registry_failures = diagnostics.len() - failures_before;
         stats.rule_failures += registry_failures;
         stats.diag_counts[DiagKind::RuleFailed.index()] += registry_failures;
+        // Custom-rule detections get their spans attached separately: the
+        // detector's own detections already carry absolute spans (and a
+        // span a custom rule set itself is absolute and kept as-is).
         detect::attach_default_spans(&mut extra, &context);
         report.detections.extend(extra);
-        stats.absorb_frontend(&fe_stats);
         WorkloadOutcome {
             outcome: CheckOutcome::new(context, report, diagnostics, self.ranker.clone()),
             stats,

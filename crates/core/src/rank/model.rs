@@ -215,26 +215,39 @@ impl Ranker {
     }
 
     /// Rank all detections in a report, highest impact first. Ties break
-    /// on catalog order for determinism.
+    /// on catalog order for determinism; detections of one kind keep
+    /// their report order.
+    ///
+    /// A score is a function of the kind alone, so this buckets
+    /// detections by kind in one pass and orders the (at most 27)
+    /// buckets by (score descending, kind ascending): O(n), and exactly
+    /// the order a stable sort of every detection by that key gives for
+    /// any non-NaN scores.
     pub fn rank(&self, report: &Report) -> Vec<RankedDetection> {
-        let mut ranked: Vec<RankedDetection> = report
-            .detections
+        let mut buckets: [Vec<&Detection>; AntiPatternKind::ALL.len()] =
+            std::array::from_fn(|_| Vec::new());
+        for d in &report.detections {
+            buckets[d.kind as usize].push(d);
+        }
+        let mut kinds: Vec<(AntiPatternKind, ApMetrics, f64)> = AntiPatternKind::ALL
             .iter()
-            .map(|d| {
-                let metrics = self.metrics.get(d.kind);
-                RankedDetection {
-                    detection: d.clone(),
-                    metrics,
-                    score: score(&metrics, &self.weights),
-                }
+            .filter(|k| !buckets[**k as usize].is_empty())
+            .map(|&k| {
+                let metrics = self.metrics.get(k);
+                (k, metrics, score(&metrics, &self.weights))
             })
             .collect();
-        ranked.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.detection.kind.cmp(&b.detection.kind))
+        kinds.sort_by(|a, b| {
+            b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
         });
+        let mut ranked = Vec::with_capacity(report.detections.len());
+        for (kind, metrics, score) in kinds {
+            ranked.extend(buckets[kind as usize].iter().map(|d| RankedDetection {
+                detection: (*d).clone(),
+                metrics,
+                score,
+            }));
+        }
         ranked
     }
 

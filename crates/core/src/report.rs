@@ -113,11 +113,11 @@ impl Report {
 
     /// Detections grouped by kind, in catalog order.
     pub fn by_kind(&self) -> Vec<(AntiPatternKind, usize)> {
-        AntiPatternKind::ALL
-            .iter()
-            .map(|k| (*k, self.count(*k)))
-            .filter(|(_, n)| *n > 0)
-            .collect()
+        let mut counts = [0usize; AntiPatternKind::ALL.len()];
+        for d in &self.detections {
+            counts[d.kind as usize] += 1;
+        }
+        AntiPatternKind::ALL.into_iter().zip(counts).filter(|&(_, n)| n > 0).collect()
     }
 
     /// Distinct kinds present.
