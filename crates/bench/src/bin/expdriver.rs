@@ -22,9 +22,12 @@
 //! expdriver splitfile FILE # split configurations over a real dump (mmap'd)
 //! ```
 //!
-//! `--quick` shrinks scales for a fast smoke run. `--threads N` pins the
-//! worker count of the parallel configurations; `--threads 0` (and the
-//! default) auto-detects via `available_parallelism`.
+//! `--quick` shrinks scales for a fast smoke run and writes its
+//! `BENCH_*.json` rows under `target/quick/` instead of the current
+//! directory, so a smoke run never replaces the full-scale artifacts.
+//! `--threads N` pins the worker count of the parallel configurations;
+//! `--threads 0` (and the default) auto-detects via
+//! `available_parallelism`.
 
 use sqlcheck_bench::experiments::*;
 use sqlcheck_workload::github::CorpusConfig;
@@ -188,7 +191,7 @@ fn main() {
         let rows = throughput::run(sizes, 100, 0xBA7C4, threads);
         print!("{}", throughput::render(&rows));
         let json = throughput::to_json(&rows);
-        let path = "BENCH_throughput.json";
+        let path = &artifact("BENCH_throughput.json", quick);
         match std::fs::write(path, &json) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
@@ -200,7 +203,7 @@ fn main() {
         // 1% of statements edited for the warm re-check.
         let rows = e2e::run(sizes, 100, 10, 0xE2E0, threads);
         print!("{}", e2e::render(&rows));
-        write_e2e_json(&rows);
+        write_e2e_json(&rows, quick);
     }
     if run_all || what == "incremental" {
         section("Incremental — warm re-check sweep: edit fraction × workload shape");
@@ -226,7 +229,7 @@ fn main() {
         // experiments run (`all`), keep the e2e rows rather than letting
         // the sweep clobber them.
         if !run_all {
-            write_e2e_json(&rows);
+            write_e2e_json(&rows, quick);
         }
         // Full-scale ceiling (also gated standalone by `incremental-gate`):
         // warm 1%-edit re-check ≤ 0.35× the cold pipeline on the plain row.
@@ -263,7 +266,7 @@ fn main() {
         // `BENCH_throughput.json` doubles as the phases artifact when the
         // experiment runs standalone; `all` keeps the throughput rows.
         if !run_all {
-            let path = "BENCH_throughput.json";
+            let path = &artifact("BENCH_throughput.json", quick);
             match std::fs::write(path, phases::to_json(&rows)) {
                 Ok(()) => println!("wrote {path}"),
                 Err(e) => eprintln!("could not write {path}: {e}"),
@@ -277,7 +280,7 @@ fn main() {
         print!("{}", split::render(&rows));
         // `run` asserts the three configurations agree before timing;
         // reaching this point means the byte-identity gate passed.
-        let path = "BENCH_split.json";
+        let path = &artifact("BENCH_split.json", quick);
         match std::fs::write(path, split::to_json(&rows)) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
@@ -322,7 +325,7 @@ fn main() {
                 );
             }
         }
-        let path = "BENCH_scaling.json";
+        let path = &artifact("BENCH_scaling.json", quick);
         match std::fs::write(path, scaling::to_json(&rows)) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
@@ -335,7 +338,7 @@ fn main() {
         // CI gate: per-corpus parse-coverage floors and zero isolated rule
         // failures; panics (non-zero exit) on violation.
         corpus::assert_floors(&rows);
-        let path = "BENCH_corpus.json";
+        let path = &artifact("BENCH_corpus.json", quick);
         match std::fs::write(path, corpus::to_json(&rows)) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
@@ -350,6 +353,19 @@ fn main() {
         };
         print!("{}", table345::render_user_study_stats(&table345::user_study_stats(cfg)));
     }
+}
+
+/// Where an experiment's `BENCH_*.json` goes: the current directory for
+/// full-scale runs, `target/quick/` for `--quick` smoke runs.
+fn artifact(name: &str, quick: bool) -> String {
+    if !quick {
+        return name.to_string();
+    }
+    let dir = std::path::Path::new("target").join("quick");
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("could not create {}: {e}", dir.display());
+    }
+    dir.join(name).display().to_string()
 }
 
 fn section(title: &str) {
@@ -368,9 +384,9 @@ fn check_identity(rows: &[e2e::E2eRow]) {
     }
 }
 
-fn write_e2e_json(rows: &[e2e::E2eRow]) {
+fn write_e2e_json(rows: &[e2e::E2eRow], quick: bool) {
     check_identity(rows);
-    let path = "BENCH_e2e.json";
+    let path = &artifact("BENCH_e2e.json", quick);
     match std::fs::write(path, e2e::to_json(rows)) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),

@@ -283,6 +283,8 @@ fn run_inner(
         frontend: FrontendStats {
             statements: pipeline.stats.statements,
             unique_texts: pipeline.stats.unique_texts,
+            unique_shapes: pipeline.stats.unique_shapes,
+            parsed_texts: pipeline.stats.parsed_texts,
             threads: pipeline.stats.threads,
             split_micros: pipeline.stats.split_micros,
             materialize_micros: pipeline.stats.materialize_micros,
@@ -466,6 +468,7 @@ pub fn to_json(rows: &[E2eRow]) -> String {
              \"split_micros\": {}, \"materialize_micros\": {}, \"intake_micros\": {}, \
              \"parse_micros\": {}, \
              \"annotate_micros\": {}, \"context_micros\": {}, \"unique_texts\": {}, \
+             \"unique_shapes\": {}, \"parsed_texts\": {}, \
              \"warm_edit_micros\": {}, \"warm_profile_micros\": {}, \
              \"warm_patch_micros\": {}, \"warm_finalize_micros\": {}, \
              \"warm_dirty_statements\": {}, \
@@ -497,6 +500,8 @@ pub fn to_json(rows: &[E2eRow]) -> String {
             r.frontend.annotate_micros,
             r.frontend.context_micros,
             r.frontend.unique_texts,
+            r.frontend.unique_shapes,
+            r.frontend.parsed_texts,
             r.warm.warm_edit_micros,
             r.warm.warm_profile_micros,
             r.warm.warm_patch_micros,

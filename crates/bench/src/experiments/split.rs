@@ -128,6 +128,7 @@ fn legacy_statements(script: &str) -> Vec<SplitStatement> {
             span: s.span,
             content_hash: s.content_hash,
             fingerprint: s.fingerprint(script),
+            shape_hash: s.shape_hash(script),
         })
         .collect()
 }
@@ -153,8 +154,8 @@ pub fn assert_equivalence(script: &str, threads: Option<usize>) -> usize {
             assert_eq!(*span, s.span, "deduped occurrence span");
             let u = &d.uniques[*slot as usize];
             assert_eq!(
-                (u.content_hash, u.fingerprint),
-                (s.content_hash, s.fingerprint),
+                (u.content_hash, u.fingerprint, u.shape_hash),
+                (s.content_hash, s.fingerprint, s.shape_hash),
                 "deduped unique hashes"
             );
         }

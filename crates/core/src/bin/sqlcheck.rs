@@ -14,7 +14,8 @@
 //!   --parallel           batch engine: template dedup + threaded detection
 //!   --threads N          worker threads for --parallel (0 or omitted:
 //!                        auto-detect all cores)
-//!   --stats              batch engine + dedup/phase-timing stats on stderr
+//!   --stats              dedup/phase-timing stats on stderr (alone: for
+//!                        the same run as without it)
 //!   --cache              batch engine + incremental detection cache
 //!   --dialect D          SQL dialect: generic (default), postgres, mysql,
 //!                        sqlite. Without this flag the dialect is guessed
@@ -49,8 +50,8 @@
 //! ```
 
 use sqlcheck::{
-    BatchOptions, CheckOutcome, DetectionConfig, DiagKind, Dialect, Fix, InterQueryModel,
-    RankWeights, SqlCheck,
+    BatchOptions, BatchStats, CheckOutcome, DetectionConfig, DiagKind, Dialect, Fix,
+    InterQueryModel, RankWeights, SqlCheck,
 };
 use std::io::{self, BufWriter, ErrorKind, Write};
 
@@ -205,10 +206,11 @@ fn main() {
     if args.cache {
         tool = tool.with_cache(sqlcheck::detect::DEFAULT_CACHE_CAPACITY);
     }
-    // --parallel / --stats / --threads / --cache route through the batch
-    // engine (identical detections; parse-once front-end, template dedup,
-    // optional threading and incremental caching).
-    let outcome = if parallel || args.stats || args.cache {
+    // --parallel / --threads / --cache route through `check_workload`
+    // (identical detections; detection threading and incremental
+    // caching); anything else is the plain `check_script` run, which
+    // --stats alone only instruments.
+    let w = if parallel || args.cache {
         let opts = BatchOptions {
             parallel,
             threads: args.threads.flatten(),
@@ -216,14 +218,11 @@ fn main() {
             detect_dialect,
             ..BatchOptions::default()
         };
-        let w = tool.check_workload(&sql, &opts);
-        if args.stats {
-            print_stats(&w, &args);
-        }
-        w.outcome
+        tool.check_workload(&sql, &opts)
     } else {
-        tool.check_script(&sql)
+        tool.check_script_with_stats(&sql)
     };
+    let (outcome, stats) = (w.outcome, w.stats);
 
     // --fail-on-degraded: exit 3 when any degradation diagnostic other
     // than the informational delimiter-fallback and dialect-guessed
@@ -244,6 +243,11 @@ fn main() {
 
     let found = !outcome.report.detections.is_empty();
     emit(|out| render(out, &outcome, &args));
+    // After the report, so the parse count includes the texts fixes
+    // parsed on demand.
+    if args.stats {
+        print_stats(&stats, &outcome, &args);
+    }
     // Exit code signals findings, like familiar linters: degraded input
     // (3, under --fail-on-degraded) takes precedence over findings (1);
     // a clean run exits 0.
@@ -320,10 +324,9 @@ fn render(out: &mut impl Write, outcome: &CheckOutcome, args: &Args) -> io::Resu
     Ok(())
 }
 
-/// `--stats`: batch-engine instrumentation on stderr.
-fn print_stats(w: &sqlcheck::WorkloadOutcome, args: &Args) {
-    let s = &w.stats;
-    let resolved = w.outcome.context.dialect;
+/// `--stats`: front-end and detection instrumentation on stderr.
+fn print_stats(s: &BatchStats, outcome: &CheckOutcome, args: &Args) {
+    let resolved = outcome.context.dialect;
     eprintln!(
         "stats: dialect {} ({})",
         resolved,
@@ -337,18 +340,23 @@ fn print_stats(w: &sqlcheck::WorkloadOutcome, args: &Args) {
     );
     eprintln!(
         "stats: {} statement(s), {} unique template(s), {} unique text(s), \
-         {} cache hit(s), {} thread(s) ({} requested; 0 = auto)",
-        s.statements,
-        s.unique_templates,
-        s.unique_texts,
-        s.cache_hits,
-        s.threads,
-        s.requested_threads,
+         {} unique shape(s), {} cache hit(s)",
+        s.statements, s.unique_templates, s.unique_texts, s.unique_shapes, s.cache_hits,
     );
     eprintln!(
-        "stats: front-end fused split {}us, materialize {}us, parse {}us, \
+        "stats: {} parsed text(s) ({} at build)",
+        outcome.context.parsed_texts(),
+        s.parsed_texts,
+    );
+    eprintln!(
+        "stats: {} front-end thread(s), {} detection thread(s) ({} requested; 0 = auto)",
+        s.frontend_threads, s.threads, s.requested_threads,
+    );
+    eprintln!(
+        "stats: front-end fused split {}us, intake {}us, materialize {}us, parse {}us, \
          annotate {}us, context {}us",
         s.split_micros,
+        s.intake_micros,
         s.materialize_micros,
         s.parse_micros,
         s.annotate_micros,

@@ -28,28 +28,44 @@ use sqlcheck_parser::diag::{DiagKind, Diagnostic, Limits};
 use sqlcheck_parser::parse;
 use sqlcheck_parser::parser::{diagnose_parsed, parse_raw_limited_dialect};
 use sqlcheck_parser::fingerprint::fingerprint_of;
-use sqlcheck_parser::splitter::{split_deduped_dialect, split_stream_parallel_dialect, RawStatement};
+use sqlcheck_parser::splitter::{
+    materialize_text, split_deduped_dialect, split_stream_parallel_dialect, RawStatement,
+};
 use sqlcheck_parser::Dialect;
 use sqlcheck_parser::token::Span;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One statement with its annotations, as stored in the context.
 ///
-/// The parse tree and annotation digest are held behind [`Arc`]s: the
-/// parse-once front-end parses and annotates each *unique* statement text
-/// exactly once and shares the result across every duplicate occurrence.
-/// Duplicates are therefore value-identical (same text, same tree, same
-/// annotations). Token *spans* inside the shared tree refer to the first
-/// occurrence; [`AnalyzedStatement::span`] is the per-occurrence side
-/// record, so consumers that need the exact source location of a
-/// duplicate (reports, fixes) read it from here, never from the tree.
+/// The parse tree and annotation digest are held behind [`Arc`]s and are
+/// the statement's **shape tree**: the parse-once front-end parses and
+/// annotates the first text of each statement *shape* (see
+/// [`sqlcheck_parser::fingerprint`]) and shares the result with every
+/// later text of that shape whose tree can only differ in numeric-literal
+/// and bind-parameter leaves (a plain `SELECT`/`INSERT`/`UPDATE`/`DELETE`
+/// that parsed without diagnostics), and with every duplicate occurrence
+/// of those texts. No detection rule reads a numeric or parameter value,
+/// so detections, rankings and workload profiles are unaffected.
+///
+/// Token *spans* and leaf values inside the shared tree belong to the
+/// text that was parsed. [`AnalyzedStatement::span`] is the
+/// per-occurrence side record, so consumers that need the exact source
+/// location (reports, fixes) read it from here, never from the tree; and
+/// [`AnalyzedStatement::exact`] gives the statement's own tokens, text
+/// and literal values — parsed on first use for a text that shares its
+/// shape's tree.
 #[derive(Debug, Clone)]
 pub struct AnalyzedStatement {
-    /// The parsed statement (shared across duplicate texts).
+    /// The shape tree: the parse of the first text of this statement's
+    /// shape (or of its own text, when it does not share). Its tokens,
+    /// text and numeric leaves are another text's when
+    /// [`AnalyzedStatement::shares_parse`]; use
+    /// [`AnalyzedStatement::exact`] for the statement's own.
     pub parsed: Arc<ParsedStatement>,
-    /// Its annotation digest (shared across duplicate texts).
+    /// The annotation digest of `parsed`.
     pub ann: Arc<Annotations>,
     /// Literal-sensitive 128-bit content hash of the token stream
     /// (span-insensitive), precomputed at build time so batch detection
@@ -69,6 +85,107 @@ pub struct AnalyzedStatement {
     /// (shared across duplicate occurrences). `statement` indexes are
     /// unset here; consumers attribute the first occurrence.
     pub diags: Arc<[Diagnostic]>,
+    /// For a text that shares its shape's parse: the unique text's own
+    /// parse, made on demand and shared by its duplicate occurrences.
+    /// `None` when `parsed` is the statement's own parse.
+    pub(crate) exact: Option<Arc<ExactCell>>,
+}
+
+impl AnalyzedStatement {
+    /// The statement's own parse: its exact tokens (spans of the text's
+    /// first occurrence, as for any duplicate), its text, and its literal
+    /// values. For a statement that owns its parse this is `parsed`/`ann`;
+    /// for one that shares its shape's tree the text is materialised,
+    /// parsed and annotated on first call — once per unique text, shared
+    /// by its duplicates.
+    pub fn exact(&self) -> ExactStatement<'_> {
+        match &self.exact {
+            Some(cell) => {
+                let (parsed, ann) = cell.get();
+                ExactStatement { parsed, ann }
+            }
+            None => ExactStatement { parsed: &self.parsed, ann: &self.ann },
+        }
+    }
+
+    /// Identity of the parse this statement uses: the content hash of the
+    /// text `parsed` was built from — `text_hash` itself unless the
+    /// statement shares its shape's tree. Intra-query results are a
+    /// function of the parse, so batch detection groups and caches by it.
+    pub fn parse_key(&self) -> u128 {
+        self.exact.as_ref().map_or(self.text_hash, |cell| cell.parse_key)
+    }
+
+    /// Whether `parsed`/`ann` were built from another text of the same
+    /// shape (so its tokens, text and numeric leaves are not this
+    /// statement's).
+    pub fn shares_parse(&self) -> bool {
+        self.exact.is_some()
+    }
+
+    /// The statement's own source text, without parsing it.
+    pub fn text(&self) -> String {
+        match &self.exact {
+            Some(cell) => cell.source.to_string(),
+            None => self.parsed.text(),
+        }
+    }
+}
+
+/// A statement's own parse tree and annotations (see
+/// [`AnalyzedStatement::exact`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ExactStatement<'a> {
+    /// The statement's own parse.
+    pub parsed: &'a ParsedStatement,
+    /// The annotation digest of `parsed`.
+    pub ann: &'a Annotations,
+}
+
+/// The own parse of a unique text that shares its shape's parse, made on
+/// first use.
+#[derive(Debug)]
+pub(crate) struct ExactCell {
+    /// See [`AnalyzedStatement::parse_key`].
+    parse_key: u128,
+    /// The text's bytes.
+    source: Box<str>,
+    /// Offset of the text's first occurrence in its script.
+    base: usize,
+    /// How to parse it, and the lazy-parse counter.
+    lazy: Arc<LazyParse>,
+    /// Boxed: an unset cell then costs one pointer, not a whole tree.
+    cell: OnceLock<Box<(ParsedStatement, Annotations)>>,
+}
+
+impl ExactCell {
+    pub(crate) fn parse_key(&self) -> u128 {
+        self.parse_key
+    }
+
+    fn get(&self) -> (&ParsedStatement, &Annotations) {
+        let (parsed, ann) = &**self.cell.get_or_init(|| {
+            let lazy = &self.lazy;
+            lazy.parses.fetch_add(1, Ordering::Relaxed);
+            let raw = materialize_text(&self.source, self.base, lazy.dialect);
+            let (p, _) = parse_raw_limited_dialect(raw, &lazy.limits, lazy.dialect);
+            let ann = annotate(&p.stmt, &p.arena);
+            Box::new((p, ann))
+        });
+        (parsed, ann)
+    }
+}
+
+/// The front-end configuration a lazy exact parse repeats, plus the
+/// parse counters behind [`Context::parsed_texts`].
+#[derive(Debug)]
+struct LazyParse {
+    limits: Limits,
+    dialect: Dialect,
+    /// Parses run at build time.
+    eager: usize,
+    /// Parses run later by [`AnalyzedStatement::exact`].
+    parses: AtomicUsize,
 }
 
 /// The application context.
@@ -94,6 +211,8 @@ pub struct Context {
     /// keys: the same script text splits and parses differently under a
     /// different dialect.
     pub dialect: Dialect,
+    /// Parse counters (see [`Context::parsed_texts`]).
+    parses: Option<Arc<LazyParse>>,
 }
 
 impl Context {
@@ -110,6 +229,15 @@ impl Context {
     /// Whether data analysis is available.
     pub fn has_data(&self) -> bool {
         self.data.is_some()
+    }
+
+    /// Statement texts parsed so far for this context: at build time, and
+    /// since by [`AnalyzedStatement::exact`] for texts that share their
+    /// shape's parse.
+    pub fn parsed_texts(&self) -> usize {
+        self.parses
+            .as_ref()
+            .map_or(0, |p| p.eager + p.parses.load(Ordering::Relaxed))
     }
 
     /// Re-profile the database, replacing the cached data context. The
@@ -137,9 +265,16 @@ impl Context {
 pub struct FrontendStats {
     /// Statements in the context (after splitting, duplicates included).
     pub statements: usize,
-    /// Unique statement texts — the number of parses/annotations actually
-    /// performed when dedup is enabled.
+    /// Unique statement texts (exact bytes).
     pub unique_texts: usize,
+    /// Unique statement shapes among them (see
+    /// [`sqlcheck_parser::fingerprint`]).
+    pub unique_shapes: usize,
+    /// Statement texts parsed and annotated by the build — one per
+    /// unique shape when dedup is enabled, plus every text whose shape
+    /// could not share a parse. [`Context::parsed_texts`] adds later
+    /// [`AnalyzedStatement::exact`] parses.
+    pub parsed_texts: usize,
     /// Worker threads used for the parse/annotate phases (1 = sequential).
     pub threads: usize,
     /// Wall-clock microseconds in the fused split pass: lexing, statement
@@ -147,9 +282,9 @@ pub struct FrontendStats {
     /// grouping — one streaming pass over the script bytes. Excludes
     /// unique-text materialisation ([`FrontendStats::materialize_micros`]).
     pub split_micros: u128,
-    /// Wall-clock microseconds spent materialising token streams for
-    /// unique statement texts at intake (re-lexing each unique span into
-    /// owned tokens). Previously lumped into `split_micros`.
+    /// Wall-clock microseconds spent materialising token streams at
+    /// intake for the first text of each shape (re-lexing its span into
+    /// owned tokens).
     pub materialize_micros: u128,
     /// Wall-clock microseconds spent in dedup intake bookkeeping:
     /// mapping script-local unique slots onto builder slots and
@@ -171,9 +306,9 @@ pub struct FrontendStats {
 /// Options for the parse-once front-end.
 #[derive(Debug, Clone)]
 pub struct FrontendOptions {
-    /// Group duplicate statement texts and parse + annotate each unique
-    /// text exactly once, sharing the result via `Arc`. Output is
-    /// value-identical to the per-statement path.
+    /// Group duplicate statement texts, and texts of one shape, then parse
+    /// and annotate each group once, sharing the result via `Arc`.
+    /// Detections are identical to the per-statement path.
     pub dedup: bool,
     /// Parse/annotate unique texts across scoped worker threads. Ignored
     /// (always sequential) when the `parallel` cargo feature is disabled.
@@ -212,7 +347,8 @@ impl Default for FrontendOptions {
 
 impl FrontendOptions {
     /// The pre-pipeline behaviour: parse and annotate every statement
-    /// individually, single-threaded. Kept as the benchmark baseline.
+    /// individually, single-threaded, sharing nothing. Kept as the
+    /// benchmark baseline and the byte-identity oracle.
     pub fn legacy() -> Self {
         FrontendOptions { dedup: false, parallel: false, ..FrontendOptions::default() }
     }
@@ -233,25 +369,74 @@ struct UniqueEntry {
     hash: u128,
     fingerprint: u64,
     count: usize,
+    /// Set for a later text of a shape seen before.
+    share: Option<Share>,
 }
 
-/// Empty shared diagnostic slice (the common, fully-shaped case).
+impl UniqueEntry {
+    fn new(
+        raw: Option<RawStatement>,
+        parsed: Option<Arc<ParsedStatement>>,
+        hash: u128,
+        fingerprint: u64,
+    ) -> Self {
+        let diags = no_diags();
+        UniqueEntry { raw, parsed, ann: None, diags, hash, fingerprint, count: 0, share: None }
+    }
+}
+
+/// A text that may share the parse of the first text of its shape: that
+/// text's slot, and this text's own bytes and first-occurrence offset
+/// (to parse it if the first text turns out unshareable, or on demand).
+struct Share {
+    rep: usize,
+    source: Box<str>,
+    base: usize,
+}
+
+/// Whether a parse can stand for every text of its shape: a plain
+/// `SELECT`/`INSERT`/`UPDATE`/`DELETE` (no compound body, whose
+/// detections carry statement-relative spans) that parsed without
+/// diagnostics (whose degradations could depend on the text's length).
+fn shareable(parsed: &ParsedStatement, diags: &[Diagnostic]) -> bool {
+    use sqlcheck_parser::ast::Statement;
+    diags.is_empty()
+        && parsed.stmt.body().is_empty()
+        && matches!(
+            parsed.stmt,
+            Statement::Select(_) | Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_)
+        )
+}
+
+/// Whether a statement text begins with `SELECT`, `INSERT`, `UPDATE` or
+/// `DELETE` — the only statements whose parse [`shareable`] can accept,
+/// so the only shapes whose later texts wait for their first text's
+/// parse instead of being parsed at once.
+fn starts_plain_dml(text: &str) -> bool {
+    let word = text.as_bytes().iter().take_while(|b| b.is_ascii_alphabetic()).count();
+    ["SELECT", "INSERT", "UPDATE", "DELETE"].iter().any(|k| text[..word].eq_ignore_ascii_case(k))
+}
+
+/// Empty shared diagnostic slice (the common, fully-shaped case): one
+/// allocation per process, not one per unique text.
 fn no_diags() -> Arc<[Diagnostic]> {
-    Arc::from(Vec::new())
+    static EMPTY: OnceLock<Arc<[Diagnostic]>> = OnceLock::new();
+    EMPTY.get_or_init(|| Arc::from(Vec::new())).clone()
 }
 
 /// Builder for [`Context`] — the parse-once front-end.
 ///
-/// Scripts enter through the fused streaming splitter
-/// ([`sqlcheck_parser::splitter::split_stream`]): a single pass (chunked
-/// across scoped worker threads for large scripts) lexes, splits,
-/// content-hashes, and fingerprints every statement and groups duplicate
-/// texts — before parsing, and without ever materialising a token
-/// stream. Token vectors exist only for **unique** texts, which are
-/// materialised at intake and then parsed + annotated exactly once at
-/// build time (optionally across scoped worker threads), with the
-/// resulting AST/annotations shared across duplicate occurrences via
-/// [`Arc`].
+/// Scripts enter through the deduping splitter
+/// ([`sqlcheck_parser::splitter::split_deduped`]): a boundary pass
+/// (chunked across scoped worker threads for large scripts) groups
+/// duplicate texts, and each unique text is content-hashed,
+/// shape-hashed and fingerprinted — before parsing, and without a
+/// whole-script token stream. Token vectors exist only for the **first
+/// text of each shape**, which is materialised at intake, then parsed
+/// and annotated exactly once at build time (optionally across scoped
+/// worker threads); the resulting AST/annotations are shared via [`Arc`]
+/// with duplicate occurrences and with later texts of the shape (see
+/// [`AnalyzedStatement`]), which keep only their own bytes.
 #[derive(Default)]
 pub struct ContextBuilder {
     /// Unique statement texts, in first-occurrence order.
@@ -262,8 +447,16 @@ pub struct ContextBuilder {
     /// parse tree across duplicates, but every occurrence keeps its own
     /// span so detections and fixes can point at the exact location.
     spans: Vec<Span>,
-    /// Content hash → slot in `uniques` (only populated when deduping).
+    /// Content hash → slot in `uniques` (only used when deduping), for
+    /// `uniques[..indexed]`: filled lazily, when a later script or
+    /// statement needs the lookup, so a one-script build never pays for
+    /// it.
     slot_of: HashMap<u128, usize, Prehashed>,
+    indexed: usize,
+    /// Shape hash → slot of the first script text of that shape, or
+    /// `None` for a shape that never shares: first seen through
+    /// [`ContextBuilder::add_statements`], or not plain DML.
+    shape_of: HashMap<u128, Option<usize>, Prehashed>,
     database: Option<(Arc<Database>, DataAnalysisConfig)>,
     opts: FrontendOptions,
     split_micros: u128,
@@ -301,24 +494,33 @@ impl ContextBuilder {
     ) {
         self.spans.push(span);
         if self.opts.dedup {
+            self.index_slots();
             if let Some(&slot) = self.slot_of.get(&hash) {
                 self.uniques[slot].count += 1;
                 self.order.push(slot);
                 return;
             }
-            self.slot_of.insert(hash, self.uniques.len());
         }
         let (raw, parsed, fingerprint) = make();
         self.order.push(self.uniques.len());
-        self.uniques.push(UniqueEntry {
-            raw,
-            parsed,
-            ann: None,
-            diags: no_diags(),
-            hash,
-            fingerprint,
-            count: 1,
-        });
+        let mut e = UniqueEntry::new(raw, parsed, hash, fingerprint);
+        e.count = 1;
+        self.uniques.push(e);
+    }
+
+    /// Bring `slot_of` up to date with `uniques`.
+    fn index_slots(&mut self) {
+        for (slot, u) in self.uniques.iter().enumerate().skip(self.indexed) {
+            self.slot_of.insert(u.hash, slot);
+        }
+        self.indexed = self.uniques.len();
+    }
+
+    /// Whether a text of `len` bytes stays within the parse budgets
+    /// whatever its trivia (a token is at least one byte), so it parses
+    /// exactly as the first text of its shape did.
+    fn within_budget(&self, len: usize) -> bool {
+        len <= self.opts.limits.max_statement_bytes.min(self.opts.limits.max_tokens)
     }
 
     /// Resolve the dialect for script intake. The first call fixes it:
@@ -380,27 +582,43 @@ impl ContextBuilder {
             self.split_micros += t.elapsed().as_micros();
             let t_intake = Instant::now();
             self.saw_delimiter_directive |= deduped.saw_delimiter_directive;
-            // Map script-local unique slots onto builder slots,
-            // materialising only texts no earlier script contributed.
+            // Map script-local unique slots onto builder slots, taking in
+            // only texts no earlier script contributed (the split's
+            // uniques are distinct, so only earlier slots need a lookup).
+            // Only the first text of each shape is materialised — a later
+            // one keeps its bytes and shares that text's parse if it can.
+            self.index_slots();
+            self.uniques.reserve(deduped.uniques.len());
+            self.order.reserve(deduped.occurrences.len());
+            self.spans.reserve(deduped.occurrences.len());
             let mut slot_map: Vec<usize> = Vec::with_capacity(deduped.uniques.len());
             for u in &deduped.uniques {
                 let slot = match self.slot_of.get(&u.content_hash) {
                     Some(&slot) => slot,
                     None => {
                         let slot = self.uniques.len();
-                        self.slot_of.insert(u.content_hash, slot);
-                        let tm = Instant::now();
-                        let raw = u.materialize(script);
-                        mat_micros += tm.elapsed().as_micros();
-                        self.uniques.push(UniqueEntry {
-                            raw: Some(raw),
-                            parsed: None,
-                            ann: None,
-                            diags: no_diags(),
-                            hash: u.content_hash,
-                            fingerprint: u.fingerprint,
-                            count: 0,
-                        });
+                        let text = &script[u.span.start..u.span.end];
+                        let rep = match self.shape_of.get(&u.shape_hash) {
+                            Some(&rep) => rep.filter(|_| self.within_budget(text.len())),
+                            None => {
+                                let rep = starts_plain_dml(text).then_some(slot);
+                                self.shape_of.insert(u.shape_hash, rep);
+                                None
+                            }
+                        };
+                        let mut e = UniqueEntry::new(None, None, u.content_hash, u.fingerprint);
+                        match rep {
+                            Some(rep) => {
+                                e.share =
+                                    Some(Share { rep, source: text.into(), base: u.span.start })
+                            }
+                            None => {
+                                let tm = Instant::now();
+                                e.raw = Some(u.materialize_dialect(script, dialect));
+                                mat_micros += tm.elapsed().as_micros();
+                            }
+                        }
+                        self.uniques.push(e);
                         slot
                     }
                 };
@@ -423,17 +641,12 @@ impl ContextBuilder {
                 let tm = Instant::now();
                 let raw = s.materialize_dialect(script, dialect);
                 mat_micros += tm.elapsed().as_micros();
+                self.shape_of.entry(s.shape_hash).or_insert(None);
                 self.order.push(self.uniques.len());
                 self.spans.push(s.span);
-                self.uniques.push(UniqueEntry {
-                    raw: Some(raw),
-                    parsed: None,
-                    ann: None,
-                    diags: no_diags(),
-                    hash: s.content_hash,
-                    fingerprint: s.fingerprint,
-                    count: 1,
-                });
+                let mut e = UniqueEntry::new(Some(raw), None, s.content_hash, s.fingerprint);
+                e.count = 1;
+                self.uniques.push(e);
             }
         }
         self.materialize_micros += mat_micros;
@@ -451,6 +664,7 @@ impl ContextBuilder {
                 .map(|t| t.span)
                 .reduce(|a, b| a.merge(b))
                 .unwrap_or(Span::new(0, 0));
+            self.shape_of.entry(p.shape_hash()).or_insert(None);
             self.intake(p.content_hash(), span, || {
                 let fingerprint = fingerprint_of(&p.tokens);
                 (None, Some(Arc::new(p)), fingerprint)
@@ -474,7 +688,8 @@ impl ContextBuilder {
     }
 
     /// Configure the front-end (dedup / threading). The default parses
-    /// each unique text once, threaded when the `parallel` feature is on.
+    /// each statement shape once, threaded when the `parallel` feature is
+    /// on.
     ///
     /// Must be called before any statements are added: dedup happens at
     /// intake.
@@ -500,6 +715,7 @@ impl ContextBuilder {
         let mut stats = FrontendStats {
             statements: self.order.len(),
             unique_texts: uniques.len(),
+            unique_shapes: self.shape_of.len(),
             split_micros: self.split_micros,
             materialize_micros: self.materialize_micros,
             intake_micros: self.intake_micros,
@@ -507,16 +723,16 @@ impl ContextBuilder {
             ..FrontendStats::default()
         };
 
-        // Parse phase: each unique text exactly once, in parallel when
-        // allowed. Workers own disjoint contiguous chunks and write into
-        // their own slots, so the result is deterministic regardless of
-        // scheduling.
+        // Parse phase: each text holding a token stream exactly once, in
+        // parallel when allowed. Workers own disjoint contiguous chunks
+        // and write into their own slots, so the result is deterministic
+        // regardless of scheduling.
         let t_parse = Instant::now();
         let threads = plan_threads(&self.opts, uniques.len());
         stats.threads = threads;
         let limits = self.opts.limits;
         let dialect = self.resolved_dialect.unwrap_or(self.opts.dialect);
-        for_each_entry(&mut uniques, threads, |e| {
+        let parse_entry = |e: &mut UniqueEntry| {
             if let Some(raw) = e.raw.take() {
                 let (p, diags) = parse_raw_limited_dialect(raw, &limits, dialect);
                 e.parsed = Some(Arc::new(p));
@@ -531,33 +747,83 @@ impl ContextBuilder {
                     e.diags = diags.into();
                 }
             }
-        });
+        };
+        let mut parsed_texts = uniques.iter().filter(|e| e.raw.is_some()).count();
+        for_each_entry(&mut uniques, threads, parse_entry);
+        // A text whose shape's first text cannot stand for it after all
+        // (it parsed with diagnostics, or not as plain DML) gets its own
+        // parse — rare, so sequentially.
+        for i in 0..uniques.len() {
+            let Some(sh) = &uniques[i].share else { continue };
+            let rep = &uniques[sh.rep];
+            if !rep.parsed.as_deref().is_some_and(|p| shareable(p, &rep.diags)) {
+                let sh = uniques[i].share.take().expect("checked above");
+                uniques[i].raw = Some(materialize_text(&sh.source, sh.base, dialect));
+                parse_entry(&mut uniques[i]);
+                parsed_texts += 1;
+            }
+        }
         stats.parse_micros = t_parse.elapsed().as_micros();
 
-        // Phase 3: annotate each unique parse tree exactly once.
+        // Phase 3: annotate each parse tree exactly once.
         let t_ann = Instant::now();
         for_each_entry(&mut uniques, threads, |e| {
-            let parsed = e.parsed.as_ref().expect("parsed in phase 2");
-            e.ann = Some(Arc::new(annotate(&parsed.stmt, &parsed.arena)));
+            if let Some(parsed) = &e.parsed {
+                e.ann = Some(Arc::new(annotate(&parsed.stmt, &parsed.arena)));
+            }
         });
         stats.annotate_micros = t_ann.elapsed().as_micros();
+        stats.parsed_texts = parsed_texts;
 
-        // Phase 4: assemble statements in script order (duplicates share
-        // the unique entry's Arcs) and fold the context.
+        // Phase 4: assemble statements in script order (duplicates and
+        // texts of a shared shape hold the parsing text's Arcs) and fold
+        // the context.
         let t_ctx = Instant::now();
+        let lazy = Arc::new(LazyParse {
+            limits,
+            dialect,
+            eager: parsed_texts,
+            parses: AtomicUsize::new(0),
+        });
+        // Per unique text: the slot whose parse it uses, and (for a text
+        // sharing another's parse) its exact cell. Every occurrence weight
+        // folds into the parsing slot.
+        let mut parse_slot: Vec<usize> = Vec::with_capacity(uniques.len());
+        let mut weight: Vec<usize> = vec![0; uniques.len()];
+        let mut cells: Vec<Option<Arc<ExactCell>>> = Vec::with_capacity(uniques.len());
+        for i in 0..uniques.len() {
+            let (slot, cell) = match uniques[i].share.take() {
+                Some(sh) => {
+                    let cell = ExactCell {
+                        parse_key: uniques[sh.rep].hash,
+                        source: sh.source,
+                        base: sh.base,
+                        lazy: lazy.clone(),
+                        cell: OnceLock::new(),
+                    };
+                    (sh.rep, Some(Arc::new(cell)))
+                }
+                None => (i, None),
+            };
+            weight[slot] += uniques[i].count;
+            parse_slot.push(slot);
+            cells.push(cell);
+        }
         let analyzed: Vec<AnalyzedStatement> = self
             .order
             .iter()
             .zip(&self.spans)
             .map(|(&slot, &span)| {
                 let u = &uniques[slot];
+                let p = &uniques[parse_slot[slot]];
                 AnalyzedStatement {
-                    parsed: u.parsed.clone().expect("parsed in phase 2"),
-                    ann: u.ann.clone().expect("annotated in phase 3"),
+                    parsed: p.parsed.clone().expect("parsed in phase 2"),
+                    ann: p.ann.clone().expect("annotated in phase 3"),
                     text_hash: u.hash,
                     template_hash: u.fingerprint,
                     span,
                     diags: u.diags.clone(),
+                    exact: cells[slot].clone(),
                 }
             })
             .collect();
@@ -580,15 +846,16 @@ impl ContextBuilder {
             DataProfile::build(&db, &cfg)
         });
 
-        // Profile once per unique text, weighted by occurrence count —
-        // every profile counter is additive over statements, so this is
-        // identical to folding each duplicate individually.
+        // Profile once per parse, weighted by the occurrences of every
+        // text that uses it — every profile counter is additive over
+        // statements, and a parse is first used by its own text, so this
+        // is identical to folding each statement individually.
         let workload = WorkloadProfile::build_weighted(
-            uniques.iter().map(|u| {
+            uniques.iter().zip(&weight).filter(|(_, &n)| n > 0).map(|(u, &n)| {
                 (
                     &u.parsed.as_ref().expect("parsed").stmt,
                     u.ann.as_ref().expect("annotated").as_ref(),
-                    u.count,
+                    n,
                 )
             }),
             &schema,
@@ -616,6 +883,7 @@ impl ContextBuilder {
                 diagnostics,
                 limits_epoch: limits.epoch(),
                 dialect,
+                parses: Some(lazy),
             },
             stats,
         )

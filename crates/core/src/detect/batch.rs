@@ -3,18 +3,21 @@
 //! Production logs contain millions of statements drawn from a few
 //! hundred templates. The batch engine exploits that redundancy:
 //!
-//! 1. **Grouping** — statements are grouped by their template
-//!    [fingerprint](sqlcheck_parser::fingerprint) and, within a template,
-//!    by exact statement text. Intra-query rules run **once per unique
-//!    text** and the results fan back out to every occurrence with
-//!    corrected loci. The exact-text key (rather than the fingerprint
-//!    alone) is what makes the fan-out byte-identical to the sequential
-//!    path: several rules inspect literal *values* (leading-wildcard
-//!    `LIKE`, token-list `INSERT`s), so two statements sharing a template
-//!    can still differ in their detections.
+//! 1. **Grouping** — statements are grouped by the parse they use
+//!    ([`AnalyzedStatement::parse_key`](crate::context::AnalyzedStatement::parse_key)):
+//!    every occurrence of a text, and every text of a statement *shape*
+//!    that shares its first text's parse (texts differing only in
+//!    numeric-literal and bind-parameter values). Intra-query rules run
+//!    **once per parse** and the results fan back out to every occurrence
+//!    with corrected loci. Rules read the parse only, and no rule reads a
+//!    numeric or parameter value, so the fan-out is byte-identical to the
+//!    sequential path. String literals stay in the shape: several rules
+//!    inspect them (leading-wildcard `LIKE`, token-list `INSERT`s), so
+//!    two statements sharing a *template* can still differ in their
+//!    detections.
 //! 2. **Parallelism** — all three detection phases run on one scoped
 //!    worker-thread pool (behind the `parallel` cargo feature). The
-//!    intra-query phase slices into per-unique-text units, the
+//!    intra-query phase slices into per-parse units, the
 //!    inter-query phase into per-rule units, and the data-analysis phase
 //!    into per-table units. Units carry a **cost estimate** (statement
 //!    bytes × occurrence count for intra, table row count for data) and
@@ -97,12 +100,21 @@ pub struct BatchStats {
     pub statements: usize,
     /// Distinct template fingerprints (literal-insensitive).
     pub unique_templates: usize,
-    /// Distinct exact statement texts — the number of intra-query rule
-    /// executions actually performed.
+    /// Distinct exact statement texts.
     pub unique_texts: usize,
-    /// Statements whose intra-query results were reused from an earlier
-    /// identical statement (`statements - unique_texts`).
+    /// Statements whose text repeats an earlier statement's
+    /// (`statements - unique_texts`).
     pub cache_hits: usize,
+    /// Front-end: distinct statement shapes among the unique texts (0
+    /// when the caller did not attach [`FrontendStats`]).
+    ///
+    /// [`FrontendStats`]: crate::context::FrontendStats
+    pub unique_shapes: usize,
+    /// Front-end: statement texts parsed and annotated at build time
+    /// (see [`FrontendStats::parsed_texts`](crate::context::FrontendStats)).
+    pub parsed_texts: usize,
+    /// Front-end: worker threads of the parse/annotate phases.
+    pub frontend_threads: usize,
     /// Worker threads used for the intra-query phase (1 = sequential) —
     /// the *effective* count after clamping to unit count and hardware.
     pub threads: usize,
@@ -221,6 +233,9 @@ impl BatchStats {
     /// Fold front-end instrumentation into this record (the batch engine
     /// itself only sees an already-built context).
     pub fn absorb_frontend(&mut self, fe: &crate::context::FrontendStats) {
+        self.unique_shapes = fe.unique_shapes;
+        self.parsed_texts = fe.parsed_texts;
+        self.frontend_threads = fe.threads;
         self.split_micros = fe.split_micros;
         self.materialize_micros = fe.materialize_micros;
         self.intake_micros = fe.intake_micros;
@@ -264,12 +279,14 @@ pub struct BatchReport {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// One group of statements sharing an exact text (and hence a template).
+/// One group of statements sharing a parse (and hence a template).
 struct Group {
     /// Representative statement index (the first occurrence).
     rep: usize,
-    /// All statement indexes with this text, ascending.
+    /// All statement indexes using this parse, ascending.
     occurrences: Vec<usize>,
+    /// Distinct statement texts among them.
+    texts: u64,
 }
 
 /// Intra-query results for one group this run: freshly computed (loci
@@ -282,16 +299,17 @@ enum GroupResult {
 
 impl Detector {
     /// Batched detection: like [`Detector::detect`], but runs intra-query
-    /// rules once per unique statement text (grouped under template
-    /// fingerprints) and optionally in parallel. The returned report is
-    /// byte-identical to the sequential path, in the same order.
+    /// rules once per unique parse (every occurrence of a text, and the
+    /// texts of a shape that share one parse) and optionally in parallel.
+    /// The returned report is byte-identical to the sequential path, in
+    /// the same order.
     pub fn detect_batch(&self, ctx: &Context, opts: &BatchOptions) -> BatchReport {
         self.detect_batch_with(ctx, opts, None)
     }
 
     /// [`Detector::detect_batch`] with an optional [`IncrementalCache`]:
-    /// unique texts whose intra-query detections are cached (under the
-    /// current config + schema epoch) are replayed instead of re-analysed,
+    /// parses whose intra-query detections are cached (under the current
+    /// config + schema epoch) are replayed instead of re-analysed,
     /// so re-checking an edited workload only pays for changed statements.
     /// Output stays byte-identical to the sequential path either way.
     pub fn detect_batch_with(
@@ -304,31 +322,39 @@ impl Detector {
         let t_group = Instant::now();
         let use_context = !self.cfg.intra_only;
 
-        // Phase 1: group statements by their precomputed 128-bit content
-        // hash (literal-sensitive, span-insensitive — computed once at
-        // context-build time). Equal content implies equal fingerprints,
-        // so the content partition refines the template partition; the
-        // template fingerprint is only computed once per representative.
-        // 128 bits are treated as collision-free, the same assumption
-        // content-addressed systems make.
+        // Phase 1: group statements by the parse they use (the content
+        // hash of the parsed text, computed once at context-build time).
+        // A parse is one shape, and a shape has one template, so the
+        // parse partition refines the template partition; the template
+        // fingerprint is only read once per representative. 128 bits are
+        // treated as collision-free, the same assumption
+        // content-addressed systems make. Texts sharing a parse are
+        // counted separately, so `unique_texts` keeps its meaning.
         let mut groups: Vec<Group> = Vec::new();
         let mut by_hash: HashMap<u128, usize, Prehashed> = HashMap::with_capacity_and_hasher(
             ctx.statements.len().min(1024),
             Prehashed::default(),
         );
         let mut templates: HashSet<u64> = HashSet::new();
+        let mut sharing_texts: HashSet<u128, Prehashed> = HashSet::default();
         for (idx, stmt) in ctx.statements.iter().enumerate() {
-            match by_hash.entry(stmt.text_hash) {
+            let gi = match by_hash.entry(stmt.parse_key()) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     groups[*e.get()].occurrences.push(idx);
+                    *e.get()
                 }
                 std::collections::hash_map::Entry::Vacant(v) => {
                     templates.insert(stmt.template_hash);
                     v.insert(groups.len());
-                    groups.push(Group { rep: idx, occurrences: vec![idx] });
+                    groups.push(Group { rep: idx, occurrences: vec![idx], texts: 1 });
+                    groups.len() - 1
                 }
+            };
+            if stmt.shares_parse() && sharing_texts.insert(stmt.text_hash) {
+                groups[gi].texts += 1;
             }
         }
+        let unique_texts = groups.len() + sharing_texts.len();
 
         let group_micros = t_group.elapsed().as_micros();
 
@@ -336,7 +362,8 @@ impl Detector {
         // unique text (plus script-level events), and shaped-vs-degraded
         // statement counts for the parse-coverage ratio. A statement is
         // degraded when its unique text parsed to `Other` while carrying
-        // real content (a leading keyword).
+        // real content (a leading keyword). A parse with diagnostics, or
+        // parsed to `Other`, is never shared, so its group is one text.
         let mut diag_counts = [0usize; DiagKind::COUNT];
         let mut degraded_uniques = 0usize;
         let mut degraded_statements = 0usize;
@@ -370,7 +397,7 @@ impl Detector {
         match cache {
             Some(c) => {
                 for (gi, g) in groups.iter().enumerate() {
-                    match c.get(ctx.statements[g.rep].text_hash) {
+                    match c.get(ctx.statements[g.rep].parse_key(), g.texts) {
                         Some(hit) => results.push(Some(GroupResult::Cached(hit))),
                         None => {
                             results.push(None);
@@ -442,7 +469,8 @@ impl Detector {
                     .collect();
                 let rep = &ctx.statements[groups[gi].rep];
                 c.insert(
-                    rep.text_hash,
+                    rep.parse_key(),
+                    groups[gi].texts,
                     Arc::new(canonical),
                     Arc::new(entry_deps(&rep.parsed.stmt, &rep.ann)),
                 );
@@ -634,8 +662,8 @@ impl Detector {
         let mut stats = BatchStats {
             statements: ctx.statements.len(),
             unique_templates: templates.len(),
-            unique_texts: groups.len(),
-            cache_hits: ctx.statements.len() - groups.len(),
+            unique_texts,
+            cache_hits: ctx.statements.len() - unique_texts,
             threads,
             requested_threads: opts.threads.unwrap_or(0),
             worker_busy_micros,

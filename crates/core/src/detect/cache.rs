@@ -3,12 +3,14 @@
 //!
 //! Re-checking a workload after small edits should only pay for the
 //! statements whose text actually changed — in the spirit of update-aware
-//! incremental view maintenance (Berkholz et al.). The cache maps a
-//! statement's literal-sensitive 128-bit content hash
-//! (`AnalyzedStatement::text_hash`) to the intra-query detections of that
-//! text, stored in **canonical form** (statement loci zeroed, spans
-//! statement-relative) so a hit can be fanned out to any occurrence index
-//! on any later call.
+//! incremental view maintenance (Berkholz et al.). The cache maps the
+//! parse a statement's rules ran on (`AnalyzedStatement::parse_key`, the
+//! 128-bit content hash of the parsed text) to the intra-query detections
+//! of that parse, stored in **canonical form** (statement loci zeroed,
+//! spans statement-relative) so a hit can be fanned out to any occurrence
+//! index on any later call. Hits, misses and evictions count the unique
+//! statement texts an entry serves, so they keep their per-text meaning
+//! when one parse serves many texts.
 //!
 //! ## Sharding
 //!
@@ -180,10 +182,12 @@ impl DepSet {
 /// One cached analysis result with its schema dependencies.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    /// Canonical intra-query detections for the statement text.
+    /// Canonical intra-query detections for the parse.
     detections: Arc<Vec<Detection>>,
     /// Schema objects the statement's rules may have consulted.
     deps: Arc<DepSet>,
+    /// Unique statement texts the entry served when inserted.
+    texts: u64,
 }
 
 /// The lock-protected interior of one shard.
@@ -385,7 +389,8 @@ impl IncrementalCache {
         if e.config_epoch != Some(config_epoch) {
             for shard in self.shards.iter() {
                 let mut st = write_lock(&shard.state);
-                shard.evictions.fetch_add(st.map.len() as u64, Ordering::Relaxed);
+                let texts: u64 = st.map.values().map(|e| e.texts).sum();
+                shard.evictions.fetch_add(texts, Ordering::Relaxed);
                 st.map.clear();
                 st.queue.clear();
             }
@@ -407,7 +412,7 @@ impl IncrementalCache {
             let mut by_column = 0u64;
             st.map.retain(|_, entry| {
                 if entry.deps.tables.iter().any(|t| tables.contains(t)) {
-                    by_table += 1;
+                    by_table += entry.texts;
                     return false;
                 }
                 let col_hit = entry.deps.cores.iter().any(|t| cores.contains(t))
@@ -415,13 +420,13 @@ impl IncrementalCache {
                         columns.contains(tc) || cores.contains(&tc.0)
                     });
                 if col_hit {
-                    by_column += 1;
+                    by_column += entry.texts;
                     return false;
                 }
                 true
             });
             if st.map.len() < before {
-                shard.evictions.fetch_add((before - st.map.len()) as u64, Ordering::Relaxed);
+                shard.evictions.fetch_add(by_table + by_column, Ordering::Relaxed);
                 shard.table_evictions.fetch_add(by_table, Ordering::Relaxed);
                 shard.column_evictions.fetch_add(by_column, Ordering::Relaxed);
                 // Purge invalidated keys from the FIFO queue too: a later
@@ -436,42 +441,44 @@ impl IncrementalCache {
         e.versions = versions.clone();
     }
 
-    /// Look up the canonical detections for a statement text. Counts a
-    /// hit or a miss. Takes the shard's **read** lock only — concurrent
-    /// lookups (the warm-path bulk of every re-check) never serialize.
-    pub(crate) fn get(&self, text_hash: u128) -> Option<Arc<Vec<Detection>>> {
-        let shard = self.shard_of(text_hash);
+    /// Look up the canonical detections for a parse serving `texts`
+    /// unique statement texts. Counts `texts` hits or misses. Takes the
+    /// shard's **read** lock only — concurrent lookups (the warm-path bulk
+    /// of every re-check) never serialize.
+    pub(crate) fn get(&self, key: u128, texts: u64) -> Option<Arc<Vec<Detection>>> {
+        let shard = self.shard_of(key);
         let st = read_lock(&shard.state);
-        match st.map.get(&text_hash) {
+        match st.map.get(&key) {
             Some(e) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
+                shard.hits.fetch_add(texts, Ordering::Relaxed);
                 Some(Arc::clone(&e.detections))
             }
             None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
+                shard.misses.fetch_add(texts, Ordering::Relaxed);
                 None
             }
         }
     }
 
-    /// Insert canonical detections for a statement text together with the
-    /// schema objects they depend on, evicting FIFO past the shard
-    /// capacity.
+    /// Insert canonical detections for a parse serving `texts` unique
+    /// statement texts, together with the schema objects they depend on,
+    /// evicting FIFO past the shard capacity.
     pub(crate) fn insert(
         &self,
-        text_hash: u128,
+        key: u128,
+        texts: u64,
         detections: Arc<Vec<Detection>>,
         deps: Arc<DepSet>,
     ) {
-        let shard = self.shard_of(text_hash);
+        let shard = self.shard_of(key);
         let mut st = write_lock(&shard.state);
-        if st.map.insert(text_hash, CacheEntry { detections, deps }).is_none() {
-            st.queue.push_back(text_hash);
+        if st.map.insert(key, CacheEntry { detections, deps, texts }).is_none() {
+            st.queue.push_back(key);
         }
         while st.map.len() > self.shard_capacity {
             let Some(oldest) = st.queue.pop_front() else { break };
-            if st.map.remove(&oldest).is_some() {
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
+            if let Some(e) = st.map.remove(&oldest) {
+                shard.evictions.fetch_add(e.texts, Ordering::Relaxed);
             }
         }
     }
@@ -593,9 +600,9 @@ mod tests {
     fn hit_miss_counters() {
         let c = IncrementalCache::new(4);
         c.ensure_epoch(1, &empty());
-        assert!(c.get(10).is_none());
-        c.insert(10, Arc::new(vec![det()]), deps(&["t"]));
-        assert!(c.get(10).is_some());
+        assert!(c.get(10, 1).is_none());
+        c.insert(10, 1, Arc::new(vec![det()]), deps(&["t"]));
+        assert!(c.get(10, 1).is_some());
         let counters = c.counters();
         assert_eq!((counters.hits, counters.misses, counters.evictions), (1, 1, 0));
     }
@@ -604,15 +611,15 @@ mod tests {
     fn config_epoch_change_flushes_everything() {
         let c = IncrementalCache::new(4);
         c.ensure_epoch(1, &empty());
-        c.insert(10, Arc::new(vec![]), deps(&["a"]));
-        c.insert(11, Arc::new(vec![]), deps(&["b"]));
+        c.insert(10, 1, Arc::new(vec![]), deps(&["a"]));
+        c.insert(11, 1, Arc::new(vec![]), deps(&["b"]));
         c.unit_put(UNIT_INTER, 0, 99, Arc::new(vec![det()]));
         c.ensure_epoch(2, &empty());
         assert!(c.is_empty());
         assert_eq!(c.counters().evictions, 2);
         assert!(c.unit_get(UNIT_INTER, 0, 99).is_none(), "unit memo flushed with config");
         // Same epoch again: no further flush.
-        c.insert(12, Arc::new(vec![]), deps(&[]));
+        c.insert(12, 1, Arc::new(vec![]), deps(&[]));
         c.ensure_epoch(2, &empty());
         assert_eq!(c.len(), 1);
     }
@@ -621,16 +628,16 @@ mod tests {
     fn table_change_invalidates_only_dependents() {
         let c = IncrementalCache::new(8);
         c.ensure_epoch(1, &versions(&[("a", 100), ("b", 200)]));
-        c.insert(1, Arc::new(vec![]), deps(&["a"]));
-        c.insert(2, Arc::new(vec![]), deps(&["b"]));
-        c.insert(3, Arc::new(vec![]), deps(&["a", "b"]));
-        c.insert(4, Arc::new(vec![]), deps(&[]));
+        c.insert(1, 1, Arc::new(vec![]), deps(&["a"]));
+        c.insert(2, 1, Arc::new(vec![]), deps(&["b"]));
+        c.insert(3, 1, Arc::new(vec![]), deps(&["a", "b"]));
+        c.insert(4, 1, Arc::new(vec![]), deps(&[]));
         // Table `a` changes; `b` does not.
         c.ensure_epoch(1, &versions(&[("a", 101), ("b", 200)]));
-        assert!(c.get(1).is_none(), "entry on changed table dropped");
-        assert!(c.get(3).is_none(), "entry touching the changed table dropped");
-        assert!(c.get(2).is_some(), "entry on unchanged table survives");
-        assert!(c.get(4).is_some(), "schema-independent entry survives");
+        assert!(c.get(1, 1).is_none(), "entry on changed table dropped");
+        assert!(c.get(3, 1).is_none(), "entry touching the changed table dropped");
+        assert!(c.get(2, 1).is_some(), "entry on unchanged table survives");
+        assert!(c.get(4, 1).is_some(), "schema-independent entry survives");
         let counters = c.counters();
         assert_eq!(counters.evictions, 2);
         assert_eq!(counters.table_evictions, 2);
@@ -644,18 +651,18 @@ mod tests {
         v.columns.insert(("t".into(), "a".into()), 10);
         v.columns.insert(("t".into(), "b".into()), 20);
         c.ensure_epoch(1, &v);
-        c.insert(1, Arc::new(vec![]), col_deps(&["t"], &[("t", "a")]));
-        c.insert(2, Arc::new(vec![]), col_deps(&["t"], &[("t", "b")]));
-        c.insert(3, Arc::new(vec![]), deps(&["t"])); // whole-table dep
+        c.insert(1, 1, Arc::new(vec![]), col_deps(&["t"], &[("t", "a")]));
+        c.insert(2, 1, Arc::new(vec![]), col_deps(&["t"], &[("t", "b")]));
+        c.insert(3, 1, Arc::new(vec![]), deps(&["t"])); // whole-table dep
         // Column `b` changes (e.g. its type, or an index now covers it);
         // the whole-table digest changes with it, the core does not.
         let mut v2 = v.clone();
         v2.tables.insert("t".into(), 2);
         v2.columns.insert(("t".into(), "b".into()), 21);
         c.ensure_epoch(1, &v2);
-        assert!(c.get(1).is_some(), "dep on untouched column survives");
-        assert!(c.get(2).is_none(), "dep on changed column dropped");
-        assert!(c.get(3).is_none(), "whole-table dep dropped");
+        assert!(c.get(1, 1).is_some(), "dep on untouched column survives");
+        assert!(c.get(2, 1).is_none(), "dep on changed column dropped");
+        assert!(c.get(3, 1).is_none(), "whole-table dep dropped");
         let counters = c.counters();
         assert_eq!(counters.table_evictions, 1);
         assert_eq!(counters.column_evictions, 1);
@@ -671,16 +678,16 @@ mod tests {
         let mut v = versions(&[("t", 1)]);
         v.columns.insert(("t".into(), "a".into()), 10);
         c.ensure_epoch(1, &v);
-        c.insert(1, Arc::new(vec![]), col_deps(&["t"], &[("t", "a")]));
-        c.insert(2, Arc::new(vec![]), col_deps(&["t"], &[("t", "c")])); // phantom column
-        c.insert(3, Arc::new(vec![]), deps(&["t"]));
+        c.insert(1, 1, Arc::new(vec![]), col_deps(&["t"], &[("t", "a")]));
+        c.insert(2, 1, Arc::new(vec![]), col_deps(&["t"], &[("t", "c")])); // phantom column
+        c.insert(3, 1, Arc::new(vec![]), deps(&["t"]));
         let mut v2 = v.clone();
         v2.tables.insert("t".into(), 2);
         v2.columns.insert(("t".into(), "c".into()), 30); // the new column appears
         c.ensure_epoch(1, &v2);
-        assert!(c.get(1).is_some(), "existing-column dep survives ADD COLUMN");
-        assert!(c.get(2).is_none(), "phantom-column dep dropped when the column appears");
-        assert!(c.get(3).is_none(), "whole-table dep dropped");
+        assert!(c.get(1, 1).is_some(), "existing-column dep survives ADD COLUMN");
+        assert!(c.get(2, 1).is_none(), "phantom-column dep dropped when the column appears");
+        assert!(c.get(3, 1).is_none(), "whole-table dep dropped");
     }
 
     #[test]
@@ -693,16 +700,16 @@ mod tests {
         v.columns.insert(("t".into(), "a".into()), 10);
         v.columns.insert(("u".into(), "x".into()), 50);
         c.ensure_epoch(1, &v);
-        c.insert(1, Arc::new(vec![]), col_deps(&["t"], &[("t", "a")]));
-        c.insert(2, Arc::new(vec![]), col_deps(&[], &[("t", "a")])); // column dep only
-        c.insert(3, Arc::new(vec![]), col_deps(&["u"], &[("u", "x")]));
+        c.insert(1, 1, Arc::new(vec![]), col_deps(&["t"], &[("t", "a")]));
+        c.insert(2, 1, Arc::new(vec![]), col_deps(&[], &[("t", "a")])); // column dep only
+        c.insert(3, 1, Arc::new(vec![]), col_deps(&["u"], &[("u", "x")]));
         let mut v2 = v.clone();
         v2.tables.insert("t".into(), 2);
         v2.cores.insert("t".into(), 9);
         c.ensure_epoch(1, &v2);
-        assert!(c.get(1).is_none(), "core dep dropped on core change");
-        assert!(c.get(2).is_none(), "column dep guarded by its table's core");
-        assert!(c.get(3).is_some(), "other table untouched");
+        assert!(c.get(1, 1).is_none(), "core dep dropped on core change");
+        assert!(c.get(2, 1).is_none(), "column dep guarded by its table's core");
+        assert!(c.get(3, 1).is_some(), "other table untouched");
         assert_eq!(c.counters().column_evictions, 2);
     }
 
@@ -710,18 +717,18 @@ mod tests {
     fn appearing_and_vanishing_tables_invalidate_dependents() {
         let c = IncrementalCache::new(8);
         c.ensure_epoch(1, &versions(&[("a", 1)]));
-        c.insert(1, Arc::new(vec![]), deps(&["a"]));
-        c.insert(2, Arc::new(vec![]), deps(&["phantom"]));
-        c.insert(3, Arc::new(vec![]), col_deps(&[], &[("phantom", "c")]));
+        c.insert(1, 1, Arc::new(vec![]), deps(&["a"]));
+        c.insert(2, 1, Arc::new(vec![]), deps(&["phantom"]));
+        c.insert(3, 1, Arc::new(vec![]), col_deps(&[], &[("phantom", "c")]));
         // `phantom` appears (a statement referenced it before it existed):
         // the suppression decision for entries 2 and 3 may now differ.
         c.ensure_epoch(1, &versions(&[("a", 1), ("phantom", 7)]));
-        assert!(c.get(2).is_none(), "entry on newly created table dropped");
-        assert!(c.get(3).is_none(), "column dep on newly created table dropped");
-        assert!(c.get(1).is_some());
+        assert!(c.get(2, 1).is_none(), "entry on newly created table dropped");
+        assert!(c.get(3, 1).is_none(), "column dep on newly created table dropped");
+        assert!(c.get(1, 1).is_some());
         // `a` vanishes.
         c.ensure_epoch(1, &versions(&[("phantom", 7)]));
-        assert!(c.get(1).is_none(), "entry on dropped table dropped");
+        assert!(c.get(1, 1).is_none(), "entry on dropped table dropped");
     }
 
     #[test]
@@ -729,12 +736,12 @@ mod tests {
         let c = IncrementalCache::new(8);
         let v = versions(&[("a", 1), ("b", 2)]);
         c.ensure_epoch(1, &v);
-        c.insert(1, Arc::new(vec![det()]), deps(&["a", "b"]));
+        c.insert(1, 1, Arc::new(vec![det()]), deps(&["a", "b"]));
         // Re-attaching a content-identical catalog is a no-op.
         c.ensure_epoch(1, &v);
         assert_eq!(c.len(), 1);
         assert_eq!(c.counters().evictions, 0);
-        assert!(c.get(1).is_some());
+        assert!(c.get(1, 1).is_some());
     }
 
     #[test]
@@ -770,32 +777,32 @@ mod tests {
         // One shard so FIFO age is global and the scenario deterministic.
         let c = IncrementalCache::with_shards(2, 1);
         c.ensure_epoch(1, &versions(&[("a", 1)]));
-        c.insert(10, Arc::new(vec![]), deps(&["a"]));
-        c.insert(20, Arc::new(vec![]), deps(&[]));
+        c.insert(10, 1, Arc::new(vec![]), deps(&["a"]));
+        c.insert(20, 1, Arc::new(vec![]), deps(&[]));
         // `a` changes: entry 10 is invalidated (queue must drop its key).
         c.ensure_epoch(1, &versions(&[("a", 2)]));
-        assert!(c.get(10).is_none());
+        assert!(c.get(10, 1).is_none());
         // Re-insert 10, then push past capacity with 30: the genuinely
         // oldest entry (20) must be the one evicted — not the freshly
         // re-inserted 10 via a stale duplicate queue key.
-        c.insert(10, Arc::new(vec![det()]), deps(&["a"]));
-        c.insert(30, Arc::new(vec![]), deps(&[]));
+        c.insert(10, 1, Arc::new(vec![det()]), deps(&["a"]));
+        c.insert(30, 1, Arc::new(vec![]), deps(&[]));
         assert_eq!(c.len(), 2);
-        assert!(c.get(10).is_some(), "re-inserted entry survives");
-        assert!(c.get(30).is_some());
-        assert!(c.get(20).is_none(), "oldest entry evicted");
+        assert!(c.get(10, 1).is_some(), "re-inserted entry survives");
+        assert!(c.get(30, 1).is_some());
+        assert!(c.get(20, 1).is_none(), "oldest entry evicted");
     }
 
     #[test]
     fn fifo_eviction_bounds_size() {
         let c = IncrementalCache::with_shards(2, 1);
         c.ensure_epoch(1, &empty());
-        c.insert(1, Arc::new(vec![]), deps(&[]));
-        c.insert(2, Arc::new(vec![]), deps(&[]));
-        c.insert(3, Arc::new(vec![]), deps(&[]));
+        c.insert(1, 1, Arc::new(vec![]), deps(&[]));
+        c.insert(2, 1, Arc::new(vec![]), deps(&[]));
+        c.insert(3, 1, Arc::new(vec![]), deps(&[]));
         assert_eq!(c.len(), 2);
-        assert!(c.get(1).is_none(), "oldest entry evicted");
-        assert!(c.get(3).is_some());
+        assert!(c.get(1, 1).is_none(), "oldest entry evicted");
+        assert!(c.get(3, 1).is_some());
         assert_eq!(c.counters().evictions, 1);
     }
 
@@ -808,17 +815,17 @@ mod tests {
             let c = IncrementalCache::with_shards(1024, shards);
             c.ensure_epoch(7, &versions(&[("a", 1), ("b", 2)]));
             for k in 0..64u128 {
-                assert!(c.get(k).is_none());
+                assert!(c.get(k, 1).is_none());
                 let dep: &[&str] = if k % 3 == 0 { &["a"] } else { &["b"] };
-                c.insert(k, Arc::new(vec![det()]), deps(dep));
+                c.insert(k, 1, Arc::new(vec![det()]), deps(dep));
             }
             for k in 0..64u128 {
-                assert!(c.get(k).is_some());
+                assert!(c.get(k, 1).is_some());
             }
             // Invalidate table `a`: exactly the k % 3 == 0 entries drop.
             c.ensure_epoch(7, &versions(&[("a", 9), ("b", 2)]));
             for k in 0..64u128 {
-                assert_eq!(c.get(k).is_some(), k % 3 != 0, "key {k}");
+                assert_eq!(c.get(k, 1).is_some(), k % 3 != 0, "key {k}");
             }
             (c.counters(), c.len())
         };
@@ -833,7 +840,7 @@ mod tests {
         let c = IncrementalCache::new(4096);
         c.ensure_epoch(1, &empty());
         for k in 0..256u128 {
-            c.insert(k, Arc::new(vec![det()]), deps(&["t"]));
+            c.insert(k, 1, Arc::new(vec![det()]), deps(&["t"]));
         }
         std::thread::scope(|s| {
             for t in 0..4u128 {
@@ -841,9 +848,9 @@ mod tests {
                 s.spawn(move || {
                     for round in 0..50u128 {
                         for k in 0..256u128 {
-                            let _ = c.get(k);
+                            let _ = c.get(k, 1);
                         }
-                        c.insert(1000 + t * 100 + round, Arc::new(vec![]), deps(&[]));
+                        c.insert(1000 + t * 100 + round, 1, Arc::new(vec![]), deps(&[]));
                         c.unit_put(UNIT_INTER, t as u64, round as u64, Arc::new(vec![]));
                         let _ = c.unit_get(UNIT_INTER, t as u64, round as u64);
                     }

@@ -5,6 +5,13 @@
 //! textual fix. Rewrites go through the AST and are rendered with
 //! [`ToSql`], matching the paper's "transforms the parse tree to a SQL
 //! string" step.
+//!
+//! Rewrites render a statement's own text and literal values, so every
+//! transform reads [`AnalyzedStatement::exact`] (or the statement's own
+//! source text), never the shape tree a statement may share with texts
+//! that differ in numeric values.
+//!
+//! [`AnalyzedStatement::exact`]: crate::context::AnalyzedStatement::exact
 
 use crate::context::Context;
 use crate::fix::Fix;
@@ -15,7 +22,7 @@ use sqlcheck_parser::render::ToSql;
 use sqlcheck_parser::IStr;
 
 fn statement_at<'c>(d: &Detection, ctx: &'c Context) -> Option<&'c ParsedStatement> {
-    d.statement_index().and_then(|i| ctx.statements.get(i)).map(|a| a.parsed.as_ref())
+    d.statement_index().and_then(|i| ctx.statements.get(i)).map(|a| a.exact().parsed)
 }
 
 /// Implicit Columns (Example 2): add the explicit column list from the
@@ -261,7 +268,7 @@ fn enum_site(d: &Detection, ctx: &Context) -> Option<(String, String, Vec<String
             Some((table.clone(), column.clone(), values.iter().map(|v| v.to_string()).collect()))
         }
         Locus::Statement { index } => {
-            let stmt = &ctx.statements.get(*index)?.parsed.stmt;
+            let stmt = &ctx.statements.get(*index)?.exact().parsed.stmt;
             match stmt {
                 Statement::AlterTable(at) => {
                     if let AlterAction::AddConstraint(tc) = &at.action {
@@ -362,7 +369,8 @@ fn mva_site(d: &Detection, ctx: &Context) -> Option<(String, String)> {
     match &d.locus {
         Locus::Column { table, column } => Some((table.clone(), column.clone())),
         Locus::Statement { index } => {
-            let stmt = &ctx.statements.get(*index)?.parsed.stmt;
+            let exact = ctx.statements.get(*index)?.exact();
+            let stmt = &exact.parsed.stmt;
             // DDL site: the id-list text column itself.
             if let Statement::CreateTable(ct) = stmt {
                 for col in &ct.columns {
@@ -373,7 +381,7 @@ fn mva_site(d: &Detection, ctx: &Context) -> Option<(String, String)> {
                     }
                 }
             }
-            let ann = &ctx.statements.get(*index)?.ann;
+            let ann = exact.ann;
             // Pick the pattern-predicate column, resolved to its table.
             let col = ann
                 .predicates
@@ -444,7 +452,7 @@ pub fn rounding_errors(d: &Detection, ctx: &Context) -> Option<Fix> {
             impacted_queries: vec![],
         }),
         Locus::Statement { index } => {
-            let parsed = &ctx.statements.get(*index)?.parsed;
+            let parsed = ctx.statements.get(*index)?.exact().parsed;
             let Statement::CreateTable(ct) = &parsed.stmt else { return None };
             let mut fixed = ct.clone();
             let mut changed = false;
@@ -486,7 +494,7 @@ fn impacted_statements(ctx: &Context, table: &str, column: &str) -> Vec<(usize, 
                     .any(|p| p.column.eq_ignore_ascii_case(column));
             touches_table && touches_col
         })
-        .map(|(i, s)| (i, s.parsed.text()))
+        .map(|(i, s)| (i, s.text()))
         .collect()
 }
 

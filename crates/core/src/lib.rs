@@ -34,27 +34,35 @@
 //!   literals become `?` placeholders, literal lists collapse, keyword and
 //!   bare-identifier case folds, whitespace/comments vanish — statements
 //!   that differ only in bind values share a template;
-//! * intra-query rules run **once per unique statement text** within each
-//!   template group, and results fan back out to every occurrence with
-//!   corrected loci (exact text, not the fingerprint alone, keys the
-//!   result cache because some rules inspect literal values);
+//! * intra-query rules run **once per statement shape** — the text with
+//!   numeric-literal and bind-parameter values erased, everything else
+//!   byte-exact — and results fan back out to every occurrence with
+//!   corrected loci. The shape, not the template fingerprint, keys the
+//!   result cache: some rules inspect *string* literal values, which the
+//!   shape keeps, while no rule reads a numeric or parameter value;
 //! * all three detection phases run **in parallel** on one scoped
 //!   worker-thread pool behind the `parallel` cargo feature (on by
 //!   default; disable it for strictly single-threaded builds): intra-
-//!   query rules per unique text, inter-query rules per rule, data-
+//!   query rules per shape, inter-query rules per rule, data-
 //!   analysis rules per profiled table — each with a deterministic
 //!   merge that preserves the sequential path's output order;
 //! * every statement-locus [`Detection`] (and the fix derived from it)
 //!   carries the byte [`Span`] of **its own** occurrence in the source
 //!   script, even when duplicate texts share one parse tree.
 //!
-//! The front-end is parse-once: scripts are split and content-hashed at
-//! the span level **before** parsing, so each unique statement text is
-//! parsed and annotated exactly once and shared across duplicates via
-//! `Arc`. Attaching [`SqlCheck::with_cache`] additionally persists
-//! intra-query results across `check_workload` calls (keyed by text
-//! hash, guarded by a config + schema epoch), so re-checking an edited
-//! workload only pays for the statements whose text changed.
+//! The front-end is parse-once per shape: scripts are split, content-
+//! and shape-hashed at the span level **before** parsing, so the first
+//! text of each shape is parsed and annotated once and its tree is
+//! shared via `Arc` with duplicates and with later texts of the shape
+//! (see [`context::AnalyzedStatement`]; a statement's own tokens and
+//! values stay available through
+//! [`AnalyzedStatement::exact`](context::AnalyzedStatement::exact), which
+//! fixes use). A query log of one hot template with fresh bind values
+//! parses that template once. Attaching [`SqlCheck::with_cache`]
+//! additionally persists intra-query results across `check_workload`
+//! calls (keyed by the parse, guarded by a config + schema epoch), so
+//! re-checking an edited workload only pays for the statements whose
+//! text changed.
 //!
 //! The batch path returns byte-identical detections, in the same order,
 //! as the sequential path — plus [`BatchStats`] instrumentation
@@ -401,22 +409,32 @@ impl SqlCheck {
 
     /// Run the full pipeline over a SQL script. Detection runs on the
     /// batch engine's single-thread path (intra-query rules once per
-    /// unique statement text, fanned out to every occurrence, each rule
+    /// statement shape, fanned out to every occurrence, each rule
     /// unit panic-isolated); its report is byte-identical to
     /// [`Detector::detect`].
     pub fn check_script(&self, script: &str) -> CheckOutcome {
+        self.check_script_with_stats(script).outcome
+    }
+
+    /// [`SqlCheck::check_script`], also returning the run's
+    /// instrumentation: the same front-end configuration (threaded when
+    /// the `parallel` feature is on) and the same single-thread
+    /// detection, so the phase timings describe exactly that run.
+    pub fn check_script_with_stats(&self, script: &str) -> WorkloadOutcome {
         let frontend = FrontendOptions {
             dialect: self.dialect,
             detect_dialect: self.detect_dialect,
             ..FrontendOptions::default()
         };
-        let context = self.build_context(frontend, script).build();
-        self.detect(context, &BatchOptions::sequential(), None).outcome
+        let (context, fe_stats) = self.build_context(frontend, script).build_with_stats();
+        let mut w = self.detect(context, &BatchOptions::sequential(), None);
+        w.stats.absorb_frontend(&fe_stats);
+        w
     }
 
     /// Run the full pipeline over a large workload using the parse-once
     /// front-end and the batch detection engine: fingerprinting before
-    /// parsing, per-unique-text parse/annotate/rule execution, (with the
+    /// parsing, per-shape parse/annotate/rule execution, (with the
     /// `parallel` feature) data-parallel front-end and intra-query
     /// analysis, and — when a cache is attached — incremental reuse of
     /// detection results across calls. Produces the same detections as
@@ -489,12 +507,14 @@ impl SqlCheck {
 /// script-level events first, then each unique statement text's parse
 /// diagnostics attributed to its **first occurrence** index (duplicates
 /// share one parse, so per-occurrence repetition would only amplify
-/// counts without adding information).
+/// counts without adding information). Every occurrence of a text
+/// carries the same diagnostics, so only statements with some are
+/// tracked.
 fn parse_diagnostics(ctx: &Context) -> Vec<Diagnostic> {
     let mut out = ctx.diagnostics.clone();
     let mut seen = std::collections::HashSet::new();
     for (idx, s) in ctx.statements.iter().enumerate() {
-        if seen.insert(s.text_hash) {
+        if !s.diags.is_empty() && seen.insert(s.text_hash) {
             out.extend(s.diags.iter().map(|d| d.at(idx)));
         }
     }

@@ -41,7 +41,8 @@
 //! separately from the involuntary [`CheckSession::fallbacks`].
 
 use crate::context::{
-    synthesize_ddl, SchemaCatalog, SchemaVersions, StatementContribution, WorkloadProfile,
+    synthesize_ddl, ExactCell, SchemaCatalog, SchemaVersions, StatementContribution,
+    WorkloadProfile,
 };
 use crate::detect::batch::{data_unit_key, entry_deps, inter_unit_digests};
 use crate::detect::cache::{UNIT_DATA, UNIT_INTER};
@@ -88,6 +89,8 @@ struct Slot {
     fingerprint: u64,
     parsed: Arc<ParsedStatement>,
     ann: Arc<Annotations>,
+    /// The text's exact-parse cell when it shares its shape's parse.
+    exact: Option<Arc<ExactCell>>,
     diags: Arc<[Diagnostic]>,
     /// Live occurrence count (0 = retired, revivable).
     count: usize,
@@ -230,6 +233,13 @@ fn emit_fanout(out: &mut Vec<Detection>, canon: &[Detection], i: usize, stmt_spa
     }
 }
 
+impl Slot {
+    /// The cache key: the parse the slot's detections come from.
+    fn parse_key(&self) -> u128 {
+        self.exact.as_ref().map_or(self.hash, |cell| cell.parse_key())
+    }
+}
+
 impl State {
     /// Cold build: run the ordinary pipeline, then derive the retained
     /// forms (slots, per-statement slice bounds, tail units). With a
@@ -262,6 +272,7 @@ impl State {
                         fingerprint: s.template_hash,
                         parsed: s.parsed.clone(),
                         ann: s.ann.clone(),
+                        exact: s.exact.clone(),
                         diags: s.diags.clone(),
                         count: 0,
                         canon: Arc::new(Vec::new()),
@@ -283,10 +294,11 @@ impl State {
             || slots.iter().any(|s| !s.diags.is_empty());
 
         // Canonical intra detections per slot — from the cache when
-        // possible, recomputed (panic-isolated) otherwise.
+        // possible (keyed by the parse the slot uses), recomputed
+        // (panic-isolated) otherwise.
         let mut miss_slots: Vec<usize> = Vec::new();
         for (si, slot) in slots.iter_mut().enumerate() {
-            match cache.and_then(|c| c.get(slot.hash)) {
+            match cache.and_then(|c| c.get(slot.parse_key(), 1)) {
                 Some(hit) => slot.canon = dedup_arc(hit),
                 None => miss_slots.push(si),
             }
@@ -309,7 +321,8 @@ impl State {
                         if let Some(c) = cache {
                             let rep = &ctx.statements[first_occurrence[si]];
                             c.insert(
-                                rep.text_hash,
+                                rep.parse_key(),
+                                1,
                                 Arc::new(canonical.clone()),
                                 Arc::new(entry_deps(&rep.parsed.stmt, &rep.ann)),
                             );
@@ -537,14 +550,16 @@ impl CheckSession {
                     if !diags.is_empty() {
                         return None;
                     }
-                    let ann = annotate(&parsed.stmt, &parsed.arena);
+                    let ann = Arc::new(annotate(&parsed.stmt, &parsed.arena));
+                    let parsed = Arc::new(parsed);
                     let slot = self.state.slots.len();
                     self.state.slot_of.insert(u.content_hash, slot);
                     self.state.slots.push(Slot {
                         hash: u.content_hash,
                         fingerprint: u.fingerprint,
-                        parsed: Arc::new(parsed),
-                        ann: Arc::new(ann),
+                        exact: None,
+                        parsed,
+                        ann,
                         diags: Vec::new().into(),
                         count: 0,
                         canon: Arc::new(Vec::new()),
@@ -613,6 +628,7 @@ impl CheckSession {
                     let old_len = (s.span.end - s.span.start) as i64;
                     s.parsed = slot.parsed.clone();
                     s.ann = slot.ann.clone();
+                    s.exact = slot.exact.clone();
                     s.text_hash = slot.hash;
                     s.template_hash = slot.fingerprint;
                     s.diags = slot.diags.clone();
@@ -764,7 +780,7 @@ impl CheckSession {
         let mut changed_slots: Vec<usize> = Vec::new();
         let mut recompute: Vec<usize> = Vec::new();
         for &si in &need {
-            match cache.and_then(|c| c.get(state.slots[si].hash)) {
+            match cache.and_then(|c| c.get(state.slots[si].parse_key(), 1)) {
                 Some(hit) => {
                     let refreshed = dedup_arc(hit);
                     if *refreshed != *state.slots[si].canon {
@@ -795,7 +811,8 @@ impl CheckSession {
                         if let Some(c) = cache {
                             let rep = &ctx_ref.statements[rep_of[&si]];
                             c.insert(
-                                rep.text_hash,
+                                rep.parse_key(),
+                                1,
                                 Arc::new(canonical.clone()),
                                 Arc::new(entry_deps(&rep.parsed.stmt, &rep.ann)),
                             );

@@ -1,13 +1,27 @@
-//! Statement fingerprinting: literal-insensitive query templates.
+//! Statement fingerprinting: literal-insensitive query templates, and
+//! numeric-literal-blind statement shapes.
 //!
 //! Real application logs contain millions of statements drawn from a few
 //! hundred *templates* — the same query shape re-issued with different
-//! bind values. The fingerprint collapses each statement onto its
-//! template so batch analysis (`sqlcheck::Detector::detect_batch`) can
-//! group duplicate shapes, and workload statistics can report unique
-//! template counts.
+//! bind values. This module computes two keys that collapse such
+//! statements, at two strengths:
 //!
-//! ## What normalizes
+//! * the **template** fingerprint ([`fingerprint_of`]) — a 64-bit key for
+//!   *counting* and grouping: every literal becomes `?`, literal lists
+//!   collapse, case and whitespace fold. Two statements with one template
+//!   can still parse differently (a folded string literal, a different
+//!   IN-list length), so nothing reuses a parse by template;
+//! * the **shape** ([`shape_of`], hashed by [`shape_hash_of`]) — a 128-bit
+//!   key for *reusing a parse*: the significant tokens with the values of
+//!   numeric literals and bind parameters erased (each replaced by its
+//!   kind tag), and everything else — string literals, identifiers,
+//!   keywords, punctuation — kept byte-exact. Trivia is dropped and
+//!   nothing collapses, so two statements of one shape lex to the same
+//!   token kinds with the same texts except numeric and parameter values,
+//!   which the parser never inspects: their trees differ only in those
+//!   leaf values. The analysis front end parses each shape once.
+//!
+//! ## What the template normalizes
 //!
 //! * **Literals** — string, numeric, and bind-parameter tokens all become
 //!   the placeholder `?`;
@@ -18,7 +32,7 @@
 //!   with single spaces);
 //! * **Trailing semicolons** — dropped.
 //!
-//! ## What does *not* normalize
+//! ## What the template does *not* normalize
 //!
 //! * **Quoted identifiers** keep their exact case (`"User"` ≠ `"user"`,
 //!   per SQL semantics);
@@ -27,9 +41,8 @@
 //! * **Literal *content*** is erased, which means two statements with the
 //!   same fingerprint can still behave differently under rules that
 //!   inspect literal values (e.g. leading-wildcard `LIKE` detection).
-//!   Consumers that need byte-identical analysis results must therefore
-//!   key their caches on the exact statement text *within* a fingerprint
-//!   group — which is exactly what `detect_batch` does.
+//!   Consumers that need byte-identical analysis results therefore key
+//!   on the shape, which keeps string literals, or on the exact text.
 
 use crate::ast::ParsedStatement;
 use crate::token::{Token, TokenKind};
@@ -489,6 +502,110 @@ pub fn content_hash_bytes(bytes: &[u8]) -> u128 {
     h.finish()
 }
 
+/// Shape-encoding tag of a significant token kind. Keywords and bare
+/// identifiers share one tag: their classification is a function of the
+/// word's bytes, which the encoding keeps, and the fused splitter lexes
+/// without classifying words. Trivia has no tag (it is dropped).
+fn shape_tag(kind: TokenKind) -> Option<u8> {
+    Some(match kind {
+        TokenKind::Keyword | TokenKind::Ident => 0xF0,
+        TokenKind::NumberLit => 0xF1,
+        TokenKind::Param => 0xF2,
+        TokenKind::QuotedIdent => 0xF3,
+        TokenKind::StringLit => 0xF4,
+        TokenKind::Operator => 0xF5,
+        TokenKind::Punct => 0xF6,
+        TokenKind::Unknown => 0xF7,
+        TokenKind::Comment | TokenKind::Whitespace => return None,
+    })
+}
+
+/// Whether a token's value is erased from the shape.
+fn shape_erases(kind: TokenKind) -> bool {
+    matches!(kind, TokenKind::NumberLit | TokenKind::Param)
+}
+
+/// The shape encoding of a token stream: for each significant token its
+/// kind tag, followed — unless it is a numeric literal or a bind
+/// parameter — by its byte length (`u32`, little-endian) and its exact
+/// bytes. The encoding is prefix-free, so equal encodings mean equal
+/// token sequences up to numeric and parameter values. This is the
+/// readable reference [`shape_hash_of`] and the fused splitter's
+/// streaming hash are pinned to.
+pub fn shape_of(tokens: &[Token]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for t in tokens {
+        let Some(tag) = shape_tag(t.kind) else { continue };
+        out.push(tag);
+        if !shape_erases(t.kind) {
+            out.extend_from_slice(&(t.text.len() as u32).to_le_bytes());
+            out.extend_from_slice(t.text.as_bytes());
+        }
+    }
+    out
+}
+
+/// Streaming shape hash: produces exactly
+/// `content_hash_bytes(&shape_of(tokens))` from `(kind, text)` pushes.
+/// The encoding is appended to a buffer the hasher keeps across
+/// statements (plain `memcpy`s per token) and hashed in one shot at
+/// [`ShapeHasher::finish`]. Trivia pushes are ignored, so a caller may
+/// feed the raw lexer stream.
+#[derive(Debug, Clone, Default)]
+pub struct ShapeHasher {
+    buf: Vec<u8>,
+}
+
+impl ShapeHasher {
+    /// Fresh hasher (empty shape).
+    pub fn new() -> Self {
+        ShapeHasher { buf: Vec::new() }
+    }
+
+    /// Feed one token.
+    #[inline]
+    pub fn push(&mut self, kind: TokenKind, text: &str) {
+        let Some(tag) = shape_tag(kind) else { return };
+        if shape_erases(kind) {
+            self.buf.push(tag);
+        } else {
+            let n = (text.len() as u32).to_le_bytes();
+            self.buf.extend_from_slice(&[tag, n[0], n[1], n[2], n[3]]);
+            self.buf.extend_from_slice(text.as_bytes());
+        }
+    }
+
+    /// The shape hash of everything pushed so far, resetting the hasher
+    /// for the next statement (the buffer's allocation is kept).
+    pub fn finish(&mut self) -> u128 {
+        let h = content_hash_bytes(&self.buf);
+        self.buf.clear();
+        h
+    }
+}
+
+/// Shape hash of `(kind, text)` pairs (trivia skipped).
+pub fn shape_hash_parts<'t>(parts: impl Iterator<Item = (TokenKind, &'t str)>) -> u128 {
+    let mut h = ShapeHasher::new();
+    for (kind, text) in parts {
+        h.push(kind, text);
+    }
+    h.finish()
+}
+
+/// Shape hash of a token stream: the 128-bit hash of [`shape_of`].
+/// Statements that differ only in numeric-literal or bind-parameter
+/// values, or in whitespace and comments, share a shape hash.
+pub fn shape_hash_of(tokens: &[Token]) -> u128 {
+    shape_hash_parts(tokens.iter().map(|t| (t.kind, t.text.as_str())))
+}
+
+/// Shape hash of span-level tokens (no text materialisation).
+/// Identical to [`shape_hash_of`] over the materialised tokens.
+pub fn shape_hash_spanned(src: &str, tokens: &[crate::lexer::SpannedToken]) -> u128 {
+    shape_hash_parts(tokens.iter().map(|t| (t.kind, t.text(src))))
+}
+
 /// Streaming fingerprint over `(kind, text)` pairs — the allocation-free
 /// core shared by [`fingerprint_of`] and the span-level front-end. The
 /// caller supplies significant *and* trivia tokens in order; trivia is
@@ -583,6 +700,11 @@ impl ParsedStatement {
     /// [`content_hash_of`]).
     pub fn content_hash(&self) -> u128 {
         content_hash_of(&self.tokens)
+    }
+
+    /// The statement's shape hash (see [`shape_hash_of`]).
+    pub fn shape_hash(&self) -> u128 {
+        shape_hash_of(&self.tokens)
     }
 }
 
@@ -780,6 +902,40 @@ mod tests {
         let sql = "SELECT a /* t */ , b FROM t";
         let toks = crate::lexer::lex_spans(sql);
         assert_eq!(content_hash_spanned(sql, &toks), content_hash_bytes(sql.as_bytes()));
+    }
+
+    #[test]
+    fn shape_erases_numbers_and_params_only() {
+        let sh = |sql: &str| parse_one(sql).shape_hash();
+        assert_eq!(sh("SELECT a FROM t WHERE a = 1"), sh("SELECT a FROM t WHERE a = 12345"));
+        assert_eq!(sh("SELECT a FROM t WHERE a = ?"), sh("SELECT a FROM t WHERE a = :p"));
+        assert_eq!(
+            sh("SELECT a FROM t WHERE a = 1"),
+            sh("SELECT a  FROM t /* c */ WHERE a = 2.5e3")
+        );
+        // String literals, case, structure and list lengths stay exact.
+        assert_ne!(sh("SELECT a FROM t WHERE a = 'x'"), sh("SELECT a FROM t WHERE a = 'y'"));
+        assert_ne!(sh("SELECT a FROM t"), sh("select a FROM t"));
+        assert_ne!(sh("SELECT a FROM t WHERE a IN (1)"), sh("SELECT a FROM t WHERE a IN (1, 2)"));
+        // A number and a parameter are different kinds.
+        assert_ne!(sh("SELECT a FROM t WHERE a = 1"), sh("SELECT a FROM t WHERE a = ?"));
+        // Token boundaries are part of the shape.
+        assert_ne!(sh("SELECT ab FROM t"), sh("SELECT a b FROM t"));
+    }
+
+    #[test]
+    fn shape_hash_is_the_hash_of_the_shape_encoding() {
+        for sql in [
+            "SELECT a, \"B\" FROM t WHERE x = 'v' AND y IN (1, 2) AND z = $1",
+            "",
+            "-- only trivia",
+            "INSERT INTO t VALUES (1, 'x', ?, :name, %(n)s)",
+        ] {
+            let p = parse_one(sql);
+            assert_eq!(p.shape_hash(), content_hash_bytes(&shape_of(&p.tokens)), "{sql:?}");
+            let toks = crate::lexer::lex_spans(sql);
+            assert_eq!(shape_hash_spanned(sql, &toks), p.shape_hash(), "{sql:?}");
+        }
     }
 
     #[test]

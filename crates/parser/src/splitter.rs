@@ -28,7 +28,8 @@
 use crate::block::{BlockTracker, SplitAction};
 use crate::dialect::Dialect;
 use crate::fingerprint::{
-    content_hash_bytes, content_hash_spanned, fingerprint_spanned, StreamingFingerprint,
+    content_hash_bytes, content_hash_spanned, fingerprint_spanned, shape_hash_spanned,
+    ShapeHasher, StreamingFingerprint,
 };
 use crate::intern::Interner;
 use crate::lexer::{lex_into, lex_spans_dialect, SpannedToken, TokenSink};
@@ -132,7 +133,7 @@ pub fn split_fingerprinted(script: &str) -> Vec<FingerprintedStatement> {
 }
 
 /// One statement as emitted by the fused streaming splitter: its span and
-/// both hashes, computed in the same pass that lexed the bytes — **no
+/// its three hashes, computed in the same pass that lexed the bytes — **no
 /// tokens**. Token vectors are built only when a consumer
 /// [materialises](SplitStatement::materialize) a unique text for parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,6 +148,11 @@ pub struct SplitStatement {
     /// Literal-insensitive template fingerprint
     /// ([`crate::fingerprint::fingerprint_of`] of the same stream).
     pub fingerprint: u64,
+    /// Numeric-literal-blind shape hash
+    /// ([`crate::fingerprint::shape_hash_of`] of the same stream): equal
+    /// for statements whose parse trees differ only in numeric-literal
+    /// and bind-parameter values.
+    pub shape_hash: u128,
 }
 
 impl SplitStatement {
@@ -175,10 +181,18 @@ pub fn materialize_span(script: &str, span: Span) -> RawStatement {
 
 /// [`materialize_span`] under an explicit [`Dialect`].
 pub fn materialize_span_dialect(script: &str, span: Span, dialect: Dialect) -> RawStatement {
-    let slice = &script[span.start..span.end];
-    let mut sink = MaterializeSink { src: slice, base: span.start, out: Vec::new() };
-    lex_into(slice, dialect, &mut sink);
-    RawStatement { tokens: sink.out, span, source: slice.into() }
+    materialize_text(&script[span.start..span.end], span.start, dialect)
+}
+
+/// Materialise a statement from its own text: `text` is a statement's
+/// source slice that began at byte `base` of its script. Identical to
+/// [`materialize_span_dialect`] over the original script (token spans are
+/// rebased to `base`), for callers that kept the statement's bytes but
+/// not the script.
+pub fn materialize_text(text: &str, base: usize, dialect: Dialect) -> RawStatement {
+    let mut sink = MaterializeSink { src: text, base, out: Vec::new() };
+    lex_into(text, dialect, &mut sink);
+    RawStatement { tokens: sink.out, span: Span::new(base, base + text.len()), source: text.into() }
 }
 
 /// Sink building owned tokens with spans rebased to the original script.
@@ -200,7 +214,7 @@ impl TokenSink for MaterializeSink<'_> {
 }
 
 /// Pass-through hasher for keys that are already uniform hashes (the
-/// memo map below keys by the 128-bit content hash).
+/// memo maps below key by the 128-bit shape hash).
 #[derive(Default)]
 struct HashIdentity(u64);
 
@@ -228,18 +242,24 @@ impl Hasher for HashIdentity {
 /// per-unique pass both land here). Word tokens resolve through the
 /// per-script [`Interner`]: the keyword decision is one hash-and-probe,
 /// and the fingerprint commits the symbol's stored prefolded bytes, so
-/// classification and case folding run once per unique *word*.
+/// classification and case folding run once per unique *word*. With a
+/// `shape` hasher attached, the same pass also computes the shape.
 struct FingerprintSink<'a, 'i> {
     src: &'a str,
     interner: &'i mut Interner,
     fp: StreamingFingerprint,
+    shape: Option<&'i mut ShapeHasher>,
 }
 
 impl TokenSink for FingerprintSink<'_, '_> {
     #[inline]
     fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
         if !matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
-            self.fp.push(kind, &self.src[start..end]);
+            let text = &self.src[start..end];
+            self.fp.push(kind, text);
+            if let Some(shape) = &mut self.shape {
+                shape.push(kind, text);
+            }
         }
     }
 
@@ -247,6 +267,9 @@ impl TokenSink for FingerprintSink<'_, '_> {
     fn word(&mut self, text: &str, _start: usize, _end: usize) {
         let sym = self.interner.intern(text);
         self.fp.push_folded_word(self.interner.folded(sym).as_bytes());
+        if let Some(shape) = &mut self.shape {
+            shape.push(TokenKind::Ident, text);
+        }
     }
 }
 
@@ -257,37 +280,123 @@ impl TokenSink for FingerprintSink<'_, '_> {
 /// statement content to the fingerprint's own trailing-semicolon fold.
 fn fingerprint_slice(slice: &str, interner: &mut Interner, dialect: Dialect) -> u64 {
     let mut sink =
-        FingerprintSink { src: slice, interner, fp: StreamingFingerprint::new() };
+        FingerprintSink { src: slice, interner, fp: StreamingFingerprint::new(), shape: None };
     lex_into(slice, dialect, &mut sink);
     sink.fp.finish()
 }
 
+/// Shape-hash sink: one unclassified lex pass over a statement slice,
+/// hashing its significant tokens into the shape.
+struct ShapeSink<'a, 's> {
+    src: &'a str,
+    shape: &'s mut ShapeHasher,
+}
+
+impl TokenSink for ShapeSink<'_, '_> {
+    const CLASSIFY_WORDS: bool = false;
+
+    #[inline]
+    fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
+        self.shape.push(kind, &self.src[start..end]);
+    }
+}
+
+/// Shape hash of one statement slice (a trimmed statement span), reusing
+/// `shape`'s buffer.
+fn shape_slice(slice: &str, shape: &mut ShapeHasher, dialect: Dialect) -> u128 {
+    let mut sink = ShapeSink { src: slice, shape };
+    lex_into(slice, dialect, &mut sink);
+    sink.shape.finish()
+}
+
+/// `shape_hash → fingerprint`: the template fingerprint is a function of
+/// the shape (numeric and parameter values fold to `?` either way), so a
+/// statement whose shape was seen before skips the classified lex.
+type ShapeMemo = HashMap<u128, u64, BuildHasherDefault<HashIdentity>>;
+
+/// Unique texts [`split_deduped`] hashes in one classified pass before it
+/// may switch to shape-first hashing.
+const SHAPE_FIRST_AFTER: u32 = 64;
+
+/// Shape and fingerprint of each unique text of one [`split_deduped`]
+/// call. Both are lexing passes over the text, and which is cheaper
+/// depends on the workload: while most shapes are new, one classified
+/// pass computes both; once at least half the texts repeat an earlier
+/// shape (a query log of a few templates), an unclassified pass computes
+/// the shape and the fingerprint comes from the memo. The result is the
+/// same either way.
+struct UniqueHasher {
+    interner: Interner,
+    shape: ShapeHasher,
+    memo: ShapeMemo,
+    texts: u32,
+    repeats: u32,
+    dialect: Dialect,
+}
+
+impl UniqueHasher {
+    fn new(dialect: Dialect) -> Self {
+        UniqueHasher {
+            interner: Interner::new(),
+            shape: ShapeHasher::new(),
+            memo: ShapeMemo::default(),
+            texts: 0,
+            repeats: 0,
+            dialect,
+        }
+    }
+
+    /// `(shape_hash, fingerprint)` of one statement slice.
+    fn hash(&mut self, slice: &str) -> (u128, u64) {
+        self.texts += 1;
+        if self.texts > SHAPE_FIRST_AFTER && self.repeats * 2 >= self.texts {
+            let shape = shape_slice(slice, &mut self.shape, self.dialect);
+            if let Some(&fp) = self.memo.get(&shape) {
+                self.repeats += 1;
+                return (shape, fp);
+            }
+            let fp = fingerprint_slice(slice, &mut self.interner, self.dialect);
+            self.memo.insert(shape, fp);
+            return (shape, fp);
+        }
+        let mut sink = FingerprintSink {
+            src: slice,
+            interner: &mut self.interner,
+            fp: StreamingFingerprint::new(),
+            shape: Some(&mut self.shape),
+        };
+        lex_into(slice, self.dialect, &mut sink);
+        let fp = sink.fp.finish();
+        let shape = self.shape.finish();
+        if self.memo.insert(shape, fp).is_some() {
+            self.repeats += 1;
+        }
+        (shape, fp)
+    }
+}
+
 /// Probes after which the fingerprint memo must have earned its keep:
-/// if fewer than 1 in [`MEMO_MIN_HIT_SHIFT`] statements were repeats, the
-/// workload is duplicate-poor and the memo is dropped (misses keep
-/// re-fingerprinting; output is unchanged either way).
+/// if fewer than 1 in 2^[`MEMO_MIN_HIT_SHIFT`] statements repeated an
+/// earlier shape, the workload is shape-poor and the memo is dropped
+/// (misses keep re-fingerprinting; output is unchanged either way).
 const MEMO_PROBATION: u32 = 4096;
 /// `hits << MEMO_MIN_HIT_SHIFT >= probes` keeps the memo alive.
 const MEMO_MIN_HIT_SHIFT: u32 = 3;
 
-/// The fused streaming splitter state: receives the lexer's token stream
-/// and tracks the current statement's span bounds; the content hash and
-/// template fingerprint are computed at statement flush from the span's
-/// slice.
+/// The fused streaming splitter state: receives the lexer's token stream,
+/// tracks the current statement's span bounds and streams its significant
+/// tokens into the shape hash; the content hash and template fingerprint
+/// are computed at statement flush from the span's slice.
 ///
-/// The fingerprint is **memoized by content hash**: real workloads
-/// re-issue the same statement texts constantly, equal bytes have equal
-/// templates, and the content hash — computed from the span slice at
-/// flush either way — already identifies equal bytes (the 128-bit hash
-/// is the pipeline's interchangeability identity, see
-/// [`crate::fingerprint`]). Each unique text is classified and
-/// fingerprinted exactly once per pass ([`fingerprint_slice`]); repeats
-/// cost one map probe. Keyword classification is therefore skipped
-/// entirely in the streaming pass (`CLASSIFY_WORDS = false`) — the per
-/// token hot path is pure boundary tracking, and runs at the lexer's
-/// unclassified speed. A short probation window drops the memo on
-/// duplicate-poor workloads so they never pay for a table they cannot
-/// hit.
+/// The fingerprint is **memoized by shape hash**: real query logs
+/// re-issue a few templates with fresh bind values, and the fingerprint
+/// is a function of the shape (see [`crate::fingerprint`]). Each unique
+/// shape is classified and fingerprinted exactly once per pass
+/// ([`fingerprint_slice`]); repeats cost one map probe. Keyword
+/// classification is therefore skipped entirely in the streaming pass
+/// (`CLASSIFY_WORDS = false`) — the shape hash needs no word classes. A
+/// short probation window drops the memo on shape-poor workloads so they
+/// never pay for a table they cannot hit.
 struct SplitSink<'a> {
     chunk: &'a str,
     bytes: &'a [u8],
@@ -299,10 +408,12 @@ struct SplitSink<'a> {
     /// Absolute span bounds of the open statement.
     start: usize,
     end: usize,
+    /// Shape of the open statement so far.
+    shape: ShapeHasher,
     /// Per-pass word interner for the fingerprint path.
     interner: Interner,
-    /// `content_hash → fingerprint` for statements flushed by this sink.
-    memo: HashMap<u128, u64, BuildHasherDefault<HashIdentity>>,
+    /// `shape_hash → fingerprint` for statements flushed by this sink.
+    memo: ShapeMemo,
     /// Memo hit statistics for the probation check.
     probes: u32,
     hits: u32,
@@ -324,6 +435,7 @@ impl<'a> SplitSink<'a> {
             started: false,
             start: 0,
             end: 0,
+            shape: ShapeHasher::new(),
             interner: Interner::new(),
             memo: HashMap::default(),
             probes: 0,
@@ -342,14 +454,15 @@ impl<'a> SplitSink<'a> {
         self.started = false;
         let slice = &self.chunk[self.start - self.offset..self.end - self.offset];
         let content_hash = content_hash_bytes(slice.as_bytes());
+        let shape_hash = self.shape.finish();
         let fingerprint = if self.memo_on {
             self.probes += 1;
-            if let Some(&fp) = self.memo.get(&content_hash) {
+            if let Some(&fp) = self.memo.get(&shape_hash) {
                 self.hits += 1;
                 fp
             } else {
                 let fp = fingerprint_slice(slice, &mut self.interner, self.dialect);
-                self.memo.insert(content_hash, fp);
+                self.memo.insert(shape_hash, fp);
                 if self.probes == MEMO_PROBATION
                     && (self.hits << MEMO_MIN_HIT_SHIFT) < self.probes
                 {
@@ -365,6 +478,7 @@ impl<'a> SplitSink<'a> {
             span: Span::new(self.start, self.end),
             content_hash,
             fingerprint,
+            shape_hash,
         });
     }
 
@@ -411,6 +525,7 @@ impl TokenSink for SplitSink<'_> {
             self.start = self.offset + start;
         }
         self.end = self.offset + end;
+        self.shape.push(kind, &self.chunk[start..end]);
     }
 }
 
@@ -604,21 +719,18 @@ fn split_spans_range_diag(
 
 /// Lex + hash the single statement covering `span` (a trimmed statement
 /// span: starts and ends on significant tokens). The content hash covers
-/// the span's raw bytes; the fingerprint re-lexes the slice — a compound
-/// statement's body semicolons (or, under a custom `DELIMITER`, embedded
-/// top-level-looking `;`) are ordinary statement content, exactly as the
-/// tracked pass treated them.
-fn hash_span(
-    script: &str,
-    span: Span,
-    interner: &mut Interner,
-    dialect: Dialect,
-) -> SplitStatement {
+/// the span's raw bytes; shape and fingerprint re-lex the slice — a
+/// compound statement's body semicolons (or, under a custom `DELIMITER`,
+/// embedded top-level-looking `;`) are ordinary statement content,
+/// exactly as the tracked pass treated them.
+fn hash_span(script: &str, span: Span, hasher: &mut UniqueHasher) -> SplitStatement {
     let slice = &script[span.start..span.end];
+    let (shape_hash, fingerprint) = hasher.hash(slice);
     SplitStatement {
         span,
         content_hash: content_hash_bytes(slice.as_bytes()),
-        fingerprint: fingerprint_slice(slice, interner, dialect),
+        fingerprint,
+        shape_hash,
     }
 }
 
@@ -848,7 +960,8 @@ impl Hasher for StrFold {
 }
 
 /// Split the script and group duplicate statement texts, hashing each
-/// **unique** text exactly once.
+/// **unique** text exactly once (and fingerprinting each unique shape
+/// once).
 ///
 /// Duplicate detection needs no content hash at all: two statements are
 /// duplicates iff their trimmed source bytes are equal (equal bytes lex
@@ -885,14 +998,14 @@ pub fn split_deduped_dialect(script: &str, threads: usize, dialect: Dialect) -> 
         HashMap::with_capacity_and_hasher(spans.len().min(1024), Default::default());
     // One interner for the whole script: unique statements share most of
     // their vocabulary, so word classification amortises across them.
-    let mut interner = Interner::new();
+    let mut hasher = UniqueHasher::new(dialect);
     for span in spans {
         let slot = match slots.entry(&script[span.start..span.end]) {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
             std::collections::hash_map::Entry::Vacant(v) => {
                 let slot = uniques.len() as u32;
                 v.insert(slot);
-                uniques.push(hash_span(script, span, &mut interner, dialect));
+                uniques.push(hash_span(script, span, &mut hasher));
                 slot
             }
         };
@@ -931,6 +1044,11 @@ impl SpannedStatement {
     /// (no parsing, no allocation).
     pub fn fingerprint(&self, script: &str) -> u64 {
         fingerprint_spanned(script, &self.tokens)
+    }
+
+    /// Numeric-literal-blind shape hash, computed from the spans.
+    pub fn shape_hash(&self, script: &str) -> u128 {
+        shape_hash_spanned(script, &self.tokens)
     }
 
     /// Build the equivalent owned [`RawStatement`].

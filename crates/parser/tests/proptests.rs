@@ -6,6 +6,7 @@
 
 use sqlcheck_parser::lexer::tokenize;
 use sqlcheck_parser::parser::{parse, parse_one};
+use sqlcheck_parser::fingerprint::{content_hash_bytes, shape_hash_of, shape_of};
 use sqlcheck_parser::splitter::{split_deduped, split_spanned, split_stream, split_stream_parallel};
 
 /// Deterministic xorshift64* generator for test-case synthesis.
@@ -218,6 +219,7 @@ fn fused_split_equals_legacy_split_on_random_scripts() {
                 l.fingerprint(&script),
                 "case {case}: fingerprint on {script:?}"
             );
+            assert_eq!(f.shape_hash, l.shape_hash(&script), "case {case}: shape on {script:?}");
             assert_eq!(
                 f.materialize(&script).tokens,
                 l.materialize(&script).tokens,
@@ -262,6 +264,37 @@ fn deduped_split_round_trips_on_random_scripts() {
                 let u = &d.uniques[*slot as usize];
                 assert_eq!(u.content_hash, s.content_hash, "case {case}: unique hash");
                 assert_eq!(u.fingerprint, s.fingerprint, "case {case}: unique fingerprint");
+            }
+        }
+    }
+}
+
+/// The streaming shape hash — computed per token by the fused splitter
+/// and per unique text by the deduping intake — equals the token-level
+/// reference: the hash of `shape_of` over the statement's materialised
+/// tokens. Statements with equal shape hashes have equal shape
+/// encodings (checked pairwise within each script).
+#[test]
+fn streaming_shape_hash_equals_token_level_reference() {
+    let mut rng = Rng::new(0x5A9E);
+    for case in 0..CASES {
+        let script = random_script(&mut rng);
+        let fused = split_stream(&script);
+        let mut encodings: Vec<(u128, Vec<u8>)> = Vec::new();
+        for s in &fused {
+            let tokens = s.materialize(&script).tokens;
+            let encoding = shape_of(&tokens);
+            assert_eq!(s.shape_hash, shape_hash_of(&tokens), "case {case}: {script:?}");
+            assert_eq!(s.shape_hash, content_hash_bytes(&encoding), "case {case}: {script:?}");
+            for (h, e) in &encodings {
+                assert_eq!(*h == s.shape_hash, *e == encoding, "case {case}: {script:?}");
+            }
+            encodings.push((s.shape_hash, encoding));
+        }
+        for threads in [1, 3] {
+            let d = split_deduped(&script, threads);
+            for ((slot, _), s) in d.occurrences.iter().zip(&fused) {
+                assert_eq!(d.uniques[*slot as usize].shape_hash, s.shape_hash, "case {case}");
             }
         }
     }
