@@ -156,10 +156,32 @@ pub fn trigger_workload_script(statements: usize, templates: usize, seed: u64) -
 /// self-scheduling starts it first and fills the other workers with the
 /// cheap hot-template units.
 pub fn skewed_workload_script(statements: usize, templates: usize, seed: u64) -> String {
+    skewed_script_with(String::new(), "SELECT c0, c1 FROM app_hot", statements, templates, seed)
+}
+
+/// [`skewed_workload_script`] with a hot template whose every text has a
+/// rewrite fix: the script declares `app_hot`, and the hot template is
+/// `SELECT * FROM app_hot WHERE c0 = N` — the usual ORM query log, where
+/// each fresh number makes a Column Wildcard finding whose rewrite
+/// names that number.
+pub fn skewed_wildcard_workload_script(statements: usize, templates: usize, seed: u64) -> String {
+    let ddl = "CREATE TABLE app_hot (c0 INTEGER PRIMARY KEY, c1 TEXT);\n".to_string();
+    skewed_script_with(ddl, "SELECT * FROM app_hot", statements, templates, seed)
+}
+
+/// The skewed generator: `script` (a prefix) followed by `statements`
+/// statements whose hot template is `{hot} WHERE c0 = N`.
+fn skewed_script_with(
+    mut script: String,
+    hot: &str,
+    statements: usize,
+    templates: usize,
+    seed: u64,
+) -> String {
     let plain_pool = workload_pool(templates);
     let mut rng = SmallRng::new(seed);
     let giant_at = statements / 2;
-    let mut script = String::with_capacity(statements * 56);
+    script.reserve(statements * 56);
     for i in 0..statements {
         if i == giant_at && statements > 0 {
             // One giant compound statement: ~400 body sub-statements.
@@ -173,7 +195,7 @@ pub fn skewed_workload_script(statements: usize, templates: usize, seed: u64) ->
             script.push_str("END");
         } else if rng.gen_range(10) < 9 {
             // The hot template: same shape, fresh literal per occurrence.
-            script.push_str(&format!("SELECT c0, c1 FROM app_hot WHERE c0 = {i}"));
+            script.push_str(&format!("{hot} WHERE c0 = {i}"));
         } else {
             script.push_str(&plain_pool[rng.gen_range(plain_pool.len())]);
         }
@@ -182,8 +204,8 @@ pub fn skewed_workload_script(statements: usize, templates: usize, seed: u64) ->
     script
 }
 
-/// The script for one named workload shape (`plain`, `trigger`, or
-/// `skewed`) — the tag every bench row carries.
+/// The script for one named workload shape (`plain`, `trigger`,
+/// `skewed`, or `skewed_wildcard`) — the tag every bench row carries.
 pub fn script_for_shape(
     workload: &str,
     statements: usize,
@@ -194,9 +216,11 @@ pub fn script_for_shape(
         "plain" => workload_script(statements, templates, seed),
         "trigger" => trigger_workload_script(statements, templates, seed),
         "skewed" => skewed_workload_script(statements, templates, seed),
-        other => {
-            panic!("unknown workload shape {other:?} (use \"plain\", \"trigger\", or \"skewed\")")
-        }
+        "skewed_wildcard" => skewed_wildcard_workload_script(statements, templates, seed),
+        other => panic!(
+            "unknown workload shape {other:?} \
+             (use \"plain\", \"trigger\", \"skewed\", or \"skewed_wildcard\")"
+        ),
     }
 }
 

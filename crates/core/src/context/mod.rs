@@ -108,6 +108,21 @@ impl AnalyzedStatement {
         }
     }
 
+    /// Call `f` with the statement's own parse tree without keeping it:
+    /// for a text that shares its shape's tree and whose own parse was
+    /// not made yet, the text is parsed for this call only (and counted
+    /// in [`Context::parsed_texts`]). A one-off reader, such as a fix
+    /// rewrite, then holds no tree per unique text.
+    pub fn with_own_parse<R>(&self, f: impl FnOnce(&ParsedStatement) -> R) -> R {
+        match &self.exact {
+            Some(cell) => match cell.cell.get() {
+                Some(own) => f(&own.0),
+                None => f(&cell.parse()),
+            },
+            None => f(&self.parsed),
+        }
+    }
+
     /// Identity of the parse this statement uses: the content hash of the
     /// text `parsed` was built from — `text_hash` itself unless the
     /// statement shares its shape's tree. Intra-query results are a
@@ -165,14 +180,19 @@ impl ExactCell {
 
     fn get(&self) -> (&ParsedStatement, &Annotations) {
         let (parsed, ann) = &**self.cell.get_or_init(|| {
-            let lazy = &self.lazy;
-            lazy.parses.fetch_add(1, Ordering::Relaxed);
-            let raw = materialize_text(&self.source, self.base, lazy.dialect);
-            let (p, _) = parse_raw_limited_dialect(raw, &lazy.limits, lazy.dialect);
+            let p = self.parse();
             let ann = annotate(&p.stmt, &p.arena);
             Box::new((p, ann))
         });
         (parsed, ann)
+    }
+
+    /// Parse the text, counting the parse.
+    fn parse(&self) -> ParsedStatement {
+        let lazy = &self.lazy;
+        lazy.parses.fetch_add(1, Ordering::Relaxed);
+        let raw = materialize_text(&self.source, self.base, lazy.dialect);
+        parse_raw_limited_dialect(raw, &lazy.limits, lazy.dialect).0
     }
 }
 
@@ -232,7 +252,8 @@ impl Context {
     }
 
     /// Statement texts parsed so far for this context: at build time, and
-    /// since by [`AnalyzedStatement::exact`] for texts that share their
+    /// since by [`AnalyzedStatement::exact`] or
+    /// [`AnalyzedStatement::with_own_parse`] for texts that share their
     /// shape's parse.
     pub fn parsed_texts(&self) -> usize {
         self.parses
@@ -310,6 +331,13 @@ pub struct FrontendOptions {
     /// and annotate each group once, sharing the result via `Arc`.
     /// Detections are identical to the per-statement path.
     pub dedup: bool,
+    /// With `dedup`, let a later text of a statement shape share the
+    /// first text's parse (see [`AnalyzedStatement`]). Off, every unique
+    /// text gets its own parse, so `parsed` is always the statement's own
+    /// tree — what a consumer reading literal values or token text from
+    /// `parsed` needs. [`crate::SqlCheck`] turns it off while custom rules
+    /// are registered.
+    pub share_shapes: bool,
     /// Parse/annotate unique texts across scoped worker threads. Ignored
     /// (always sequential) when the `parallel` cargo feature is disabled.
     pub parallel: bool,
@@ -336,6 +364,7 @@ impl Default for FrontendOptions {
     fn default() -> Self {
         FrontendOptions {
             dedup: true,
+            share_shapes: true,
             parallel: cfg!(feature = "parallel"),
             threads: None,
             limits: Limits::default(),
@@ -601,7 +630,8 @@ impl ContextBuilder {
                         let rep = match self.shape_of.get(&u.shape_hash) {
                             Some(&rep) => rep.filter(|_| self.within_budget(text.len())),
                             None => {
-                                let rep = starts_plain_dml(text).then_some(slot);
+                                let rep = (self.opts.share_shapes && starts_plain_dml(text))
+                                    .then_some(slot);
                                 self.shape_of.insert(u.shape_hash, rep);
                                 None
                             }
@@ -752,17 +782,25 @@ impl ContextBuilder {
         for_each_entry(&mut uniques, threads, parse_entry);
         // A text whose shape's first text cannot stand for it after all
         // (it parsed with diagnostics, or not as plain DML) gets its own
-        // parse — rare, so sequentially.
-        for i in 0..uniques.len() {
-            let Some(sh) = &uniques[i].share else { continue };
-            let rep = &uniques[sh.rep];
-            if !rep.parsed.as_deref().is_some_and(|p| shareable(p, &rep.diags)) {
-                let sh = uniques[i].share.take().expect("checked above");
-                uniques[i].raw = Some(materialize_text(&sh.source, sh.base, dialect));
-                parse_entry(&mut uniques[i]);
-                parsed_texts += 1;
-            }
-        }
+        // parse, on the same workers.
+        let unshared: Vec<bool> = uniques
+            .iter()
+            .map(|e| {
+                e.share.as_ref().is_some_and(|sh| {
+                    let rep = &uniques[sh.rep];
+                    !rep.parsed.as_deref().is_some_and(|p| shareable(p, &rep.diags))
+                })
+            })
+            .collect();
+        let mut own: Vec<&mut UniqueEntry> =
+            uniques.iter_mut().zip(&unshared).filter(|(_, &u)| u).map(|(e, _)| e).collect();
+        parsed_texts += own.len();
+        let own_threads = plan_threads(&self.opts, own.len());
+        for_each_entry(&mut own, own_threads, |e| {
+            let sh = e.share.take().expect("selected above");
+            e.raw = Some(materialize_text(&sh.source, sh.base, dialect));
+            parse_entry(e);
+        });
         stats.parse_micros = t_parse.elapsed().as_micros();
 
         // Phase 3: annotate each parse tree exactly once.
@@ -903,9 +941,9 @@ fn plan_threads(opts: &FrontendOptions, uniques: usize) -> usize {
 /// contiguous chunks (deterministic: each worker writes only its own
 /// slots).
 #[cfg(feature = "parallel")]
-fn for_each_entry<F>(entries: &mut [UniqueEntry], threads: usize, f: F)
+fn for_each_entry<T: Send, F>(entries: &mut [T], threads: usize, f: F)
 where
-    F: Fn(&mut UniqueEntry) + Sync,
+    F: Fn(&mut T) + Sync,
 {
     if threads <= 1 || entries.len() < 2 {
         entries.iter_mut().for_each(f);
@@ -923,9 +961,9 @@ where
 /// Sequential stand-in when the `parallel` feature is disabled
 /// (`plan_threads` never returns > 1 in that configuration).
 #[cfg(not(feature = "parallel"))]
-fn for_each_entry<F>(entries: &mut [UniqueEntry], _threads: usize, f: F)
+fn for_each_entry<T: Send, F>(entries: &mut [T], _threads: usize, f: F)
 where
-    F: Fn(&mut UniqueEntry) + Sync,
+    F: Fn(&mut T) + Sync,
 {
     entries.iter_mut().for_each(f);
 }

@@ -79,11 +79,11 @@ impl FixEngine {
     /// The non-ambiguous transformation for a detection, if any.
     fn transform(&self, detection: &Detection, ctx: &Context) -> Option<Fix> {
         use crate::anti_pattern::AntiPatternKind::*;
+        if let Some(rewrite) = transforms::statement_rewrite(detection.kind) {
+            let s = detection.statement_index().and_then(|i| ctx.statements.get(i))?;
+            return s.with_own_parse(|own| rewrite(own, ctx));
+        }
         match detection.kind {
-            ImplicitColumns => transforms::implicit_columns(detection, ctx),
-            ColumnWildcard => transforms::column_wildcard(detection, ctx),
-            ConcatenateNulls => transforms::concatenate_nulls(detection, ctx),
-            DistinctJoin => transforms::distinct_join(detection, ctx),
             EnumeratedTypes => transforms::enumerated_types(detection, ctx),
             MultiValuedAttribute => transforms::multi_valued_attribute(detection, ctx),
             NoForeignKey => transforms::no_foreign_key(detection, ctx),
@@ -103,6 +103,14 @@ impl FixEngine {
     /// fallback included: a log of many duplicate statements pays for
     /// one rewrite per unique text. The textual advice names its
     /// occurrence (`statement #N`) and stays per detection.
+    ///
+    /// Whether a statement rewrite applies is a property of the
+    /// statement's shape, so it is decided once per shared parse, on the
+    /// shared tree: a text of that shape is parsed on its own
+    /// ([`AnalyzedStatement::with_own_parse`]), for its rewrite only, when
+    /// the rewrite applies.
+    ///
+    /// [`AnalyzedStatement::with_own_parse`]: crate::context::AnalyzedStatement::with_own_parse
     pub fn fix_all<'a>(
         &self,
         detections: impl IntoIterator<Item = &'a Detection>,
@@ -111,12 +119,23 @@ impl FixEngine {
         let mut by_text: HashMap<(u128, AntiPatternKind), Option<Fix>, Prehashed> =
             HashMap::default();
         let mut by_locus: HashMap<(AntiPatternKind, &Locus), Option<Fix>> = HashMap::new();
+        let mut applies: HashMap<(u128, AntiPatternKind), bool, Prehashed> = HashMap::default();
         detections
             .into_iter()
             .map(|d| {
                 let transform = || self.transform(d, ctx);
                 let transformed = match d.statement_index().and_then(|i| ctx.statements.get(i)) {
-                    Some(s) => by_text.entry((s.text_hash, d.kind)).or_insert_with(transform),
+                    Some(s) => by_text.entry((s.text_hash, d.kind)).or_insert_with(|| {
+                        let rewrite = transforms::statement_rewrite(d.kind);
+                        if let Some(rewrite) = rewrite.filter(|_| s.shares_parse()) {
+                            let key = (s.parse_key(), d.kind);
+                            if !*applies.entry(key).or_insert_with(|| rewrite(&s.parsed, ctx).is_some())
+                            {
+                                return None;
+                            }
+                        }
+                        transform()
+                    }),
                     None => by_locus.entry((d.kind, &d.locus)).or_insert_with(transform),
                 };
                 let fix = transformed

@@ -6,13 +6,16 @@
 //! [`ToSql`], matching the paper's "transforms the parse tree to a SQL
 //! string" step.
 //!
-//! Rewrites render a statement's own text and literal values, so every
-//! transform reads [`AnalyzedStatement::exact`] (or the statement's own
-//! source text), never the shape tree a statement may share with texts
-//! that differ in numeric values.
+//! Rewrites render a statement's own text and literal values, so they
+//! read the statement's own parse ([`AnalyzedStatement::with_own_parse`])
+//! or source text, never the shape tree a statement may share with texts
+//! that differ in numeric values. Sites that only name tables and
+//! columns read the shape tree: names and string literals are part of
+//! the shape.
 //!
-//! [`AnalyzedStatement::exact`]: crate::context::AnalyzedStatement::exact
+//! [`AnalyzedStatement::with_own_parse`]: crate::context::AnalyzedStatement::with_own_parse
 
+use crate::anti_pattern::AntiPatternKind;
 use crate::context::Context;
 use crate::fix::Fix;
 use crate::report::{Detection, Locus};
@@ -21,14 +24,28 @@ use sqlcheck_parser::ast::*;
 use sqlcheck_parser::render::ToSql;
 use sqlcheck_parser::IStr;
 
-fn statement_at<'c>(d: &Detection, ctx: &'c Context) -> Option<&'c ParsedStatement> {
-    d.statement_index().and_then(|i| ctx.statements.get(i)).map(|a| a.exact().parsed)
+/// A rewrite of one statement's parse that reads only that parse and the
+/// schema. Whether it applies depends only on the statement's shape —
+/// its structure, names, string literals and the schema, never a numeric
+/// or parameter value — while its output renders the parse's own text
+/// and values.
+pub type StatementRewrite = fn(&ParsedStatement, &Context) -> Option<Fix>;
+
+/// The statement rewrite for `kind`, if its fix is one.
+pub fn statement_rewrite(kind: AntiPatternKind) -> Option<StatementRewrite> {
+    use AntiPatternKind::*;
+    match kind {
+        ImplicitColumns => Some(implicit_columns),
+        ColumnWildcard => Some(column_wildcard),
+        ConcatenateNulls => Some(concatenate_nulls),
+        DistinctJoin => Some(distinct_join),
+        _ => None,
+    }
 }
 
 /// Implicit Columns (Example 2): add the explicit column list from the
 /// schema. Requires the schema to know the table and the arities to match.
-pub fn implicit_columns(d: &Detection, ctx: &Context) -> Option<Fix> {
-    let parsed = statement_at(d, ctx)?;
+pub fn implicit_columns(parsed: &ParsedStatement, ctx: &Context) -> Option<Fix> {
     let Statement::Insert(ins) = &parsed.stmt else { return None };
     if !ins.columns.is_empty() {
         return None;
@@ -46,8 +63,7 @@ pub fn implicit_columns(d: &Detection, ctx: &Context) -> Option<Fix> {
 
 /// Column Wildcard: expand `*` to the explicit column list when every
 /// table in scope is known to the schema.
-pub fn column_wildcard(d: &Detection, ctx: &Context) -> Option<Fix> {
-    let parsed = statement_at(d, ctx)?;
+pub fn column_wildcard(parsed: &ParsedStatement, ctx: &Context) -> Option<Fix> {
     let Statement::Select(sel) = &parsed.stmt else { return None };
     // New column-reference nodes go into a copy of the statement's arena
     // (existing ids stay valid — the arena is append-only).
@@ -108,8 +124,7 @@ fn expand_wildcard(
 
 /// Concatenate Nulls: wrap nullable identifier operands of `||` in
 /// `COALESCE(x, '')`.
-pub fn concatenate_nulls(d: &Detection, ctx: &Context) -> Option<Fix> {
-    let parsed = statement_at(d, ctx)?;
+pub fn concatenate_nulls(parsed: &ParsedStatement, _ctx: &Context) -> Option<Fix> {
     let Statement::Select(sel) = &parsed.stmt else { return None };
     let mut arena = parsed.arena.clone();
     let mut fixed = sel.clone();
@@ -166,8 +181,7 @@ fn coalesce_ident(arena: &mut ExprArena, id: ExprId, changed: &mut bool) -> Expr
 /// Distinct + Join: when the select list only touches the FROM table,
 /// rewrite the join as an EXISTS semi-join (which cannot produce
 /// duplicates), dropping the DISTINCT.
-pub fn distinct_join(d: &Detection, ctx: &Context) -> Option<Fix> {
-    let parsed = statement_at(d, ctx)?;
+pub fn distinct_join(parsed: &ParsedStatement, _ctx: &Context) -> Option<Fix> {
     let Statement::Select(sel) = &parsed.stmt else { return None };
     if !sel.distinct || sel.joins.len() != 1 {
         return None;
@@ -268,8 +282,8 @@ fn enum_site(d: &Detection, ctx: &Context) -> Option<(String, String, Vec<String
             Some((table.clone(), column.clone(), values.iter().map(|v| v.to_string()).collect()))
         }
         Locus::Statement { index } => {
-            let stmt = &ctx.statements.get(*index)?.exact().parsed.stmt;
-            match stmt {
+            // DDL never shares its shape's parse, so `parsed` is its own.
+            match &ctx.statements.get(*index)?.parsed.stmt {
                 Statement::AlterTable(at) => {
                     if let AlterAction::AddConstraint(tc) = &at.action {
                         if let TableConstraintKind::Check(ch) = &tc.kind {
@@ -369,8 +383,10 @@ fn mva_site(d: &Detection, ctx: &Context) -> Option<(String, String)> {
     match &d.locus {
         Locus::Column { table, column } => Some((table.clone(), column.clone())),
         Locus::Statement { index } => {
-            let exact = ctx.statements.get(*index)?.exact();
-            let stmt = &exact.parsed.stmt;
+            // Only table and column names are read, and those are part
+            // of the shape: the shape tree names the same site.
+            let s = ctx.statements.get(*index)?;
+            let stmt = &s.parsed.stmt;
             // DDL site: the id-list text column itself.
             if let Statement::CreateTable(ct) = stmt {
                 for col in &ct.columns {
@@ -381,7 +397,7 @@ fn mva_site(d: &Detection, ctx: &Context) -> Option<(String, String)> {
                     }
                 }
             }
-            let ann = exact.ann;
+            let ann = &s.ann;
             // Pick the pattern-predicate column, resolved to its table.
             let col = ann
                 .predicates
@@ -452,7 +468,8 @@ pub fn rounding_errors(d: &Detection, ctx: &Context) -> Option<Fix> {
             impacted_queries: vec![],
         }),
         Locus::Statement { index } => {
-            let parsed = ctx.statements.get(*index)?.exact().parsed;
+            // DDL never shares its shape's parse, so `parsed` is its own.
+            let parsed = &ctx.statements.get(*index)?.parsed;
             let Statement::CreateTable(ct) = &parsed.stmt else { return None };
             let mut fixed = ct.clone();
             let mut changed = false;

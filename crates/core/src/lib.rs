@@ -56,9 +56,13 @@
 //! shared via `Arc` with duplicates and with later texts of the shape
 //! (see [`context::AnalyzedStatement`]; a statement's own tokens and
 //! values stay available through
-//! [`AnalyzedStatement::exact`](context::AnalyzedStatement::exact), which
-//! fixes use). A query log of one hot template with fresh bind values
-//! parses that template once. Attaching [`SqlCheck::with_cache`]
+//! [`AnalyzedStatement::exact`](context::AnalyzedStatement::exact)). A
+//! query log of one hot template with fresh bind values parses that
+//! template once, as long as the template's findings need no rewrite
+//! fix: a rewrite renders each text's own numbers, so every text whose
+//! fix is a rewrite is parsed once more, for that rewrite only. Checks
+//! with custom rules registered ([`SqlCheck::with_rule`]) parse every
+//! unique text. Attaching [`SqlCheck::with_cache`]
 //! additionally persists intra-query results across `check_workload`
 //! calls (keyed by the parse, guarded by a config + schema epoch), so
 //! re-checking an edited workload only pays for the statements whose
@@ -346,7 +350,11 @@ impl SqlCheck {
         self
     }
 
-    /// Register a custom rule (§7 extensibility).
+    /// Register a custom rule (§7 extensibility). While any custom rule
+    /// is registered, checks build their context without shape sharing
+    /// ([`FrontendOptions::share_shapes`]): a rule may read literal
+    /// values or token text from a statement's `parsed` tree, so every
+    /// unique text gets its own parse.
     pub fn with_rule(mut self, rule: Box<dyn CustomRule>) -> Self {
         self.registry.register(rule);
         self
@@ -422,6 +430,7 @@ impl SqlCheck {
     /// detection, so the phase timings describe exactly that run.
     pub fn check_script_with_stats(&self, script: &str) -> WorkloadOutcome {
         let frontend = FrontendOptions {
+            share_shapes: self.registry.is_empty(),
             dialect: self.dialect,
             detect_dialect: self.detect_dialect,
             ..FrontendOptions::default()
@@ -453,6 +462,7 @@ impl SqlCheck {
             };
         let frontend = FrontendOptions {
             dedup: true,
+            share_shapes: self.registry.is_empty(),
             parallel: opts.parallel,
             threads: opts.threads,
             limits: opts.limits,

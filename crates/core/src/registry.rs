@@ -13,6 +13,12 @@ pub trait CustomRule: Send + Sync {
     /// Rule name (for reports and debugging).
     fn name(&self) -> &str;
     /// Detection: inspect the context, emit detections.
+    ///
+    /// Under [`crate::SqlCheck`] every statement's `parsed` tree is its
+    /// own parse, literal values and token text included (registering a
+    /// rule turns shape sharing off). A context built directly with
+    /// [`crate::ContextBuilder`] shares one tree per statement shape by
+    /// default; read [`crate::context::AnalyzedStatement::exact`] there.
     fn detect(&self, ctx: &Context) -> Vec<Detection>;
     /// Ranking metrics for the detections this rule emits.
     fn metrics(&self) -> ApMetrics {

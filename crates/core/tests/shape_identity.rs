@@ -17,9 +17,11 @@
 //! procedure.
 
 use sqlcheck::{
-    BatchOptions, CheckOutcome, ContextBuilder, Detector, Dialect, Diagnostic, FixEngine,
-    FrontendOptions, Ranker, SqlCheck,
+    AntiPatternKind, BatchOptions, CheckOutcome, Context, ContextBuilder, CustomRule, Detection,
+    DetectionSource, Detector, Dialect, Diagnostic, FixEngine, FrontendOptions, Locus, Ranker,
+    SqlCheck,
 };
+use sqlcheck_parser::ast::Statement;
 use sqlcheck_minidb::stats::SmallRng;
 use std::collections::HashSet;
 
@@ -225,4 +227,100 @@ fn dialect_scripts_match_the_legacy_oracle() {
     let w = tool.check_workload(&script, &BatchOptions::default());
     assert_eq!(render(&w.outcome), oracle(&script, Dialect::MySql));
     assert!(w.stats.parsed_texts < w.stats.unique_texts);
+}
+
+/// A custom rule that reads a literal value and the token text of
+/// `parsed`: it flags a `LIMIT` above 1000, quoting the number and the
+/// statement.
+struct BigLimit;
+
+const BIG_LIMIT: &str = "big LIMIT";
+
+impl CustomRule for BigLimit {
+    fn name(&self) -> &str {
+        "big-limit"
+    }
+
+    fn detect(&self, ctx: &Context) -> Vec<Detection> {
+        let mut out = Vec::new();
+        for (index, s) in ctx.statements.iter().enumerate() {
+            let Statement::Select(sel) = &s.parsed.stmt else { continue };
+            let Some(limit) = sel.limit.as_deref() else { continue };
+            if limit.parse::<f64>().is_ok_and(|n| n > 1000.0) {
+                out.push(Detection {
+                    kind: AntiPatternKind::ColumnWildcard,
+                    locus: Locus::Statement { index },
+                    message: format!("{BIG_LIMIT} {limit} in `{}`", s.parsed.text()).into(),
+                    source: DetectionSource::InterQuery,
+                    span: None,
+                });
+            }
+        }
+        out
+    }
+}
+
+/// Custom rules see each statement's own parse: a registered rule that
+/// reads numbers and token text reports exactly what it reports on a
+/// context that shares nothing.
+#[test]
+fn custom_rules_see_each_statements_own_parse() {
+    let key = |d: &Detection| format!("{:?} {}", d.locus, d.message);
+    let mut rng = SmallRng::new(0xB16);
+    let mut flagged = 0;
+    for case in 0..8 {
+        let mut script = random_script(&mut rng, 60);
+        for i in 0..20 {
+            script.push_str(&format!("SELECT * FROM tab1 ORDER BY RAND() LIMIT {};\n", 990 + i));
+        }
+        let legacy = ContextBuilder::new()
+            .with_frontend(FrontendOptions::legacy())
+            .add_script(&script)
+            .build();
+        let want: Vec<String> = BigLimit.detect(&legacy).iter().map(key).collect();
+        flagged += want.len();
+        let tool = SqlCheck::new().with_rule(Box::new(BigLimit));
+        let runs = [
+            tool.check_script_with_stats(&script),
+            tool.check_workload(&script, &BatchOptions { threads: Some(2), ..BatchOptions::default() }),
+        ];
+        for w in runs {
+            let got: Vec<String> = w
+                .outcome
+                .report
+                .detections
+                .iter()
+                .filter(|d| d.message.starts_with(BIG_LIMIT))
+                .map(key)
+                .collect();
+            assert_eq!(got, want, "case {case}:\n{script}");
+            assert_eq!(w.stats.parsed_texts, w.stats.unique_texts, "case {case}: no sharing");
+        }
+    }
+    assert!(flagged > 8 * 10, "every case flags its big LIMITs");
+}
+
+/// A shape whose first text parses with diagnostics cannot lend its
+/// tree: every later text of the shape gets its own parse (on the
+/// front-end workers), with its own diagnostics.
+#[test]
+fn unshareable_first_texts_fall_back_to_own_parses() {
+    let mut script = String::from("CREATE TABLE t (id INT PRIMARY KEY, v TEXT);\n");
+    for i in 0..40 {
+        script.push_str(&format!("SELECT * FROM t WHERE id = {i} GARBAGE (((;\n"));
+        script.push_str(&format!("SELECT v FROM t WHERE id = {};\n", i * 7));
+    }
+    let want = oracle(&script, Dialect::Generic);
+    assert!(!want.diagnostics.is_empty(), "the degraded template has diagnostics");
+    let tool = SqlCheck::new();
+    let w = tool.check_script_with_stats(&script);
+    assert_eq!(render(&w.outcome), want);
+    // 1 DDL + 40 degraded texts parsed on their own + 1 plain shape.
+    assert_eq!(w.stats.parsed_texts, 42);
+    for threads in [1, 2] {
+        let opts = BatchOptions { parallel: true, threads: Some(threads), ..BatchOptions::default() };
+        let w = tool.check_workload(&script, &opts);
+        assert_eq!(render(&w.outcome), want, "check_workload at {threads} thread(s)");
+        assert_eq!(w.stats.parsed_texts, 42, "{threads} thread(s)");
+    }
 }

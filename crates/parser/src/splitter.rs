@@ -375,28 +375,32 @@ impl UniqueHasher {
     }
 }
 
-/// Probes after which the fingerprint memo must have earned its keep:
+/// Probes after which the split sink's memo must have earned its keep:
 /// if fewer than 1 in 2^[`MEMO_MIN_HIT_SHIFT`] statements repeated an
-/// earlier shape, the workload is shape-poor and the memo is dropped
-/// (misses keep re-fingerprinting; output is unchanged either way).
+/// earlier text, the workload is duplicate-poor and the memo is dropped
+/// (misses keep re-hashing; output is unchanged either way).
 const MEMO_PROBATION: u32 = 4096;
 /// `hits << MEMO_MIN_HIT_SHIFT >= probes` keeps the memo alive.
 const MEMO_MIN_HIT_SHIFT: u32 = 3;
 
-/// The fused streaming splitter state: receives the lexer's token stream,
-/// tracks the current statement's span bounds and streams its significant
-/// tokens into the shape hash; the content hash and template fingerprint
-/// are computed at statement flush from the span's slice.
+/// The fused streaming splitter state: receives the lexer's token stream
+/// and tracks the current statement's span bounds; the content hash,
+/// shape hash and template fingerprint are computed at statement flush
+/// from the span's slice.
 ///
-/// The fingerprint is **memoized by shape hash**: real query logs
-/// re-issue a few templates with fresh bind values, and the fingerprint
-/// is a function of the shape (see [`crate::fingerprint`]). Each unique
-/// shape is classified and fingerprinted exactly once per pass
-/// ([`fingerprint_slice`]); repeats cost one map probe. Keyword
-/// classification is therefore skipped entirely in the streaming pass
-/// (`CLASSIFY_WORDS = false`) — the shape hash needs no word classes. A
-/// short probation window drops the memo on shape-poor workloads so they
-/// never pay for a table they cannot hit.
+/// Shape and fingerprint are **memoized by content hash**: real workloads
+/// re-issue the same statement texts constantly, equal bytes have equal
+/// shapes and templates, and the content hash — computed from the span
+/// slice at flush either way — already identifies equal bytes (the
+/// 128-bit hash is the pipeline's interchangeability identity, see
+/// [`crate::fingerprint`]). Each unique text is hashed exactly once per
+/// pass by a [`UniqueHasher`] (which itself fingerprints each unique
+/// shape once); repeats cost one map probe. Keyword classification is
+/// therefore skipped entirely in the streaming pass (`CLASSIFY_WORDS =
+/// false`) — the per token hot path is pure boundary tracking, and runs
+/// at the lexer's unclassified speed. A short probation window drops the
+/// memo on duplicate-poor workloads so they never pay for a table they
+/// cannot hit.
 struct SplitSink<'a> {
     chunk: &'a str,
     bytes: &'a [u8],
@@ -408,12 +412,11 @@ struct SplitSink<'a> {
     /// Absolute span bounds of the open statement.
     start: usize,
     end: usize,
-    /// Shape of the open statement so far.
-    shape: ShapeHasher,
-    /// Per-pass word interner for the fingerprint path.
-    interner: Interner,
-    /// `shape_hash → fingerprint` for statements flushed by this sink.
-    memo: ShapeMemo,
+    /// Shape and fingerprint of each unique text this sink hashes.
+    hasher: UniqueHasher,
+    /// `content_hash → (shape_hash, fingerprint)` for statements flushed
+    /// by this sink.
+    memo: HashMap<u128, (u128, u64), BuildHasherDefault<HashIdentity>>,
     /// Memo hit statistics for the probation check.
     probes: u32,
     hits: u32,
@@ -421,8 +424,6 @@ struct SplitSink<'a> {
     memo_on: bool,
     /// Statement-boundary state machine.
     tracker: BlockTracker,
-    /// Dialect the pass lexes and fingerprints under.
-    dialect: Dialect,
 }
 
 impl<'a> SplitSink<'a> {
@@ -435,14 +436,12 @@ impl<'a> SplitSink<'a> {
             started: false,
             start: 0,
             end: 0,
-            shape: ShapeHasher::new(),
-            interner: Interner::new(),
+            hasher: UniqueHasher::new(dialect),
             memo: HashMap::default(),
             probes: 0,
             hits: 0,
             memo_on: true,
             tracker: BlockTracker::with_dialect(dialect),
-            dialect,
         }
     }
 
@@ -454,25 +453,24 @@ impl<'a> SplitSink<'a> {
         self.started = false;
         let slice = &self.chunk[self.start - self.offset..self.end - self.offset];
         let content_hash = content_hash_bytes(slice.as_bytes());
-        let shape_hash = self.shape.finish();
-        let fingerprint = if self.memo_on {
+        let (shape_hash, fingerprint) = if self.memo_on {
             self.probes += 1;
-            if let Some(&fp) = self.memo.get(&shape_hash) {
+            if let Some(&hashes) = self.memo.get(&content_hash) {
                 self.hits += 1;
-                fp
+                hashes
             } else {
-                let fp = fingerprint_slice(slice, &mut self.interner, self.dialect);
-                self.memo.insert(shape_hash, fp);
+                let hashes = self.hasher.hash(slice);
+                self.memo.insert(content_hash, hashes);
                 if self.probes == MEMO_PROBATION
                     && (self.hits << MEMO_MIN_HIT_SHIFT) < self.probes
                 {
                     self.memo_on = false;
                     self.memo = HashMap::default();
                 }
-                fp
+                hashes
             }
         } else {
-            fingerprint_slice(slice, &mut self.interner, self.dialect)
+            self.hasher.hash(slice)
         };
         self.out.push(SplitStatement {
             span: Span::new(self.start, self.end),
@@ -525,7 +523,6 @@ impl TokenSink for SplitSink<'_> {
             self.start = self.offset + start;
         }
         self.end = self.offset + end;
-        self.shape.push(kind, &self.chunk[start..end]);
     }
 }
 
