@@ -287,6 +287,8 @@ fn run_inner(
             parsed_texts: pipeline.stats.parsed_texts,
             threads: pipeline.stats.threads,
             split_micros: pipeline.stats.split_micros,
+            split_chunks: pipeline.stats.split_chunks,
+            split_rescanned_bytes: pipeline.stats.split_rescanned_bytes,
             materialize_micros: pipeline.stats.materialize_micros,
             intake_micros: pipeline.stats.intake_micros,
             parse_micros: pipeline.stats.parse_micros,

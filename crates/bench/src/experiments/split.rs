@@ -13,11 +13,15 @@
 //!   (fingerprints computed per statement from the spans);
 //! * `fused` — [`split_stream`]: one streaming pass computing spans,
 //!   content hashes, and template fingerprints as the bytes are lexed;
-//! * `deduped` — [`split_deduped`]: the pipeline's intake path — a
-//!   spans-only boundary scan groups duplicate texts by exact bytes and
-//!   the fused lex+hash pass runs once per **unique** text;
-//! * `parallel` — [`split_stream_parallel`]: the fused pass over
-//!   pre-scanned chunks on scoped worker threads.
+//! * `deduped` — [`split_deduped`] on one thread: the pipeline's intake
+//!   path — a boundary scan groups duplicate texts by exact bytes and the
+//!   lex+hash pass runs once per **unique** text;
+//! * `deduped_parallel` — [`split_deduped`] at the parallel thread count,
+//!   the path `ContextBuilder::add_script` (and so the CLI) runs: chunks
+//!   from guessed starts, scanned, deduped and hashed per worker, then
+//!   merged;
+//! * `parallel` — [`split_stream_parallel`]: the same chunked splitter,
+//!   expanded to one statement per occurrence.
 //!
 //! Every configuration is asserted to produce **identical statements**
 //! (spans, content hashes, template fingerprints) before any timing is
@@ -55,8 +59,11 @@ pub struct SplitRow {
     /// Wall-clock microseconds: fused single-pass splitter.
     pub fused_micros: u128,
     /// Wall-clock microseconds: split + byte-level dedup, hashing each
-    /// unique text once (the `ContextBuilder::add_script` intake path).
+    /// unique text once, on one thread.
     pub deduped_micros: u128,
+    /// Wall-clock microseconds: the same at the parallel thread count
+    /// (the `ContextBuilder::add_script` intake path).
+    pub deduped_parallel_micros: u128,
     /// Wall-clock microseconds: fused splitter over parallel chunks.
     pub parallel_micros: u128,
     /// Median observation for the legacy configuration (noise context
@@ -66,6 +73,8 @@ pub struct SplitRow {
     pub fused_median_micros: u128,
     /// Median observation for the deduping configuration.
     pub deduped_median_micros: u128,
+    /// Median observation for the parallel deduping configuration.
+    pub deduped_parallel_median_micros: u128,
     /// Median observation for the parallel configuration.
     pub parallel_median_micros: u128,
     /// Relative spread `(max-min)/min` of the fused observations, percent
@@ -208,26 +217,50 @@ pub fn run_one(
     threads: Option<usize>,
 ) -> SplitRow {
     let script = script_for_shape(workload, statements, templates, seed);
-    let par_threads = threads
-        .or_else(|| std::thread::available_parallelism().map(|n| n.get()).ok())
-        .unwrap_or(1);
-
-    let stmt_count = assert_equivalence(&script, threads);
-
-    let legacy = measure(|| legacy_statements(&script));
-    let fused = measure(|| split_stream(&script));
-    let deduped = measure(|| split_deduped(&script, 1));
-    let parallel = measure(|| split_stream_parallel(&script, par_threads));
-    let allocs = measure_allocs_per_stmt(&script);
+    let row = measure_script(workload, templates, &script, threads);
     if workload == "plain" {
-        if let Some(a) = allocs {
+        if let Some(a) = row.allocs_per_stmt {
             assert!(
                 a <= PLAIN_ALLOCS_PER_STMT_CEILING,
                 "allocs_per_stmt regression: {a:.1} > ceiling {PLAIN_ALLOCS_PER_STMT_CEILING}"
             );
         }
     }
+    row
+}
 
+/// Run the split configurations over an externally supplied script (the
+/// `expdriver splitfile FILE` path — typically a memory-mapped real dump
+/// via [`sqlcheck::input::read_script`]). Same equivalence gate and
+/// measurements as [`run_one`]; `templates` is reported as 0 (unknown).
+pub fn run_script(script: &str, threads: Option<usize>) -> SplitRow {
+    measure_script("file", 0, script, threads)
+}
+
+fn measure_script(
+    workload: &'static str,
+    templates: usize,
+    script: &str,
+    threads: Option<usize>,
+) -> SplitRow {
+    let par_threads = threads
+        .or_else(|| std::thread::available_parallelism().map(|n| n.get()).ok())
+        .unwrap_or(1);
+    let stmt_count = assert_equivalence(script, threads);
+    let (one, par) = (split_deduped(script, 1), split_deduped(script, par_threads));
+    assert!(
+        par.uniques == one.uniques
+            && par.occurrences == one.occurrences
+            && par.saw_delimiter_directive == one.saw_delimiter_directive,
+        "deduped split diverged at {par_threads} thread(s)"
+    );
+
+    let legacy = measure(|| legacy_statements(script));
+    let fused = measure(|| split_stream(script));
+    let deduped = measure(|| split_deduped(script, 1));
+    let deduped_parallel = measure(|| split_deduped(script, par_threads));
+    let parallel = measure(|| split_stream_parallel(script, par_threads));
+    let allocs = measure_allocs_per_stmt(script);
     SplitRow {
         workload,
         statements: stmt_count,
@@ -239,45 +272,12 @@ pub fn run_one(
         legacy_micros: legacy.min_micros,
         fused_micros: fused.min_micros,
         deduped_micros: deduped.min_micros,
+        deduped_parallel_micros: deduped_parallel.min_micros,
         parallel_micros: parallel.min_micros,
         legacy_median_micros: legacy.median_micros,
         fused_median_micros: fused.median_micros,
         deduped_median_micros: deduped.median_micros,
-        parallel_median_micros: parallel.median_micros,
-        fused_spread_pct: fused.spread_pct(),
-        allocs_per_stmt: allocs,
-    }
-}
-
-/// Run the split configurations over an externally supplied script (the
-/// `expdriver splitfile FILE` path — typically a memory-mapped real dump
-/// via [`sqlcheck::input::read_script`]). Same equivalence gate and
-/// measurements as [`run_one`]; `templates` is reported as 0 (unknown).
-pub fn run_script(script: &str, threads: Option<usize>) -> SplitRow {
-    let par_threads = threads
-        .or_else(|| std::thread::available_parallelism().map(|n| n.get()).ok())
-        .unwrap_or(1);
-    let stmt_count = assert_equivalence(script, threads);
-    let legacy = measure(|| legacy_statements(script));
-    let fused = measure(|| split_stream(script));
-    let deduped = measure(|| split_deduped(script, 1));
-    let parallel = measure(|| split_stream_parallel(script, par_threads));
-    let allocs = measure_allocs_per_stmt(script);
-    SplitRow {
-        workload: "file",
-        statements: stmt_count,
-        templates: 0,
-        bytes: script.len(),
-        threads: par_threads,
-        requested_threads: threads.unwrap_or(0),
-        identical: true,
-        legacy_micros: legacy.min_micros,
-        fused_micros: fused.min_micros,
-        deduped_micros: deduped.min_micros,
-        parallel_micros: parallel.min_micros,
-        legacy_median_micros: legacy.median_micros,
-        fused_median_micros: fused.median_micros,
-        deduped_median_micros: deduped.median_micros,
+        deduped_parallel_median_micros: deduped_parallel.median_micros,
         parallel_median_micros: parallel.median_micros,
         fused_spread_pct: fused.spread_pct(),
         allocs_per_stmt: allocs,
@@ -305,13 +305,13 @@ pub fn run(sizes: &[usize], templates: usize, seed: u64, threads: Option<usize>)
 pub fn render(rows: &[SplitRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>7} {:>10} {:>10} {:>8} {:>8} {:>7} {:>7} {:>7} {:>9}\n",
+        "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>7} {:>10} {:>12} {:>10} {:>8} {:>8} {:>7} {:>7} {:>7} {:>9}\n",
         "workload", "stmts", "bytes", "legacy_us", "fused_us", "fused_med", "spread%", "dedup_us",
-        "par_us", "leg_MBs", "fus_MBs", "fused_x", "dedup_x", "allocs", "identical"
+        "dedup_par_us", "par_us", "leg_MBs", "fus_MBs", "fused_x", "dedup_x", "allocs", "identical"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>6.0}% {:>10} {:>10} {:>8.1} {:>8.1} {:>6.1}x {:>6.1}x {:>7} {:>9}\n",
+            "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>6.0}% {:>10} {:>12} {:>10} {:>8.1} {:>8.1} {:>6.1}x {:>6.1}x {:>7} {:>9}\n",
             r.workload,
             r.statements,
             r.bytes,
@@ -320,6 +320,7 @@ pub fn render(rows: &[SplitRow]) -> String {
             r.fused_median_micros,
             r.fused_spread_pct,
             r.deduped_micros,
+            r.deduped_parallel_micros,
             r.parallel_micros,
             r.legacy_mbps(),
             r.fused_mbps(),
@@ -340,9 +341,10 @@ pub fn to_json(rows: &[SplitRow]) -> String {
             "    {{\"workload\": \"{}\", \"statements\": {}, \"templates\": {}, \"bytes\": {}, \
              \"threads\": {}, \"requested_threads\": {}, \
              \"identical\": {}, \"legacy_micros\": {}, \"fused_micros\": {}, \
-             \"deduped_micros\": {}, \"parallel_micros\": {}, \
+             \"deduped_micros\": {}, \"deduped_parallel_micros\": {}, \"parallel_micros\": {}, \
              \"legacy_median_micros\": {}, \"fused_median_micros\": {}, \
-             \"deduped_median_micros\": {}, \"parallel_median_micros\": {}, \
+             \"deduped_median_micros\": {}, \"deduped_parallel_median_micros\": {}, \
+             \"parallel_median_micros\": {}, \
              \"fused_spread_pct\": {:.1}, \"allocs_per_stmt\": {}, \
              \"legacy_mb_per_s\": {:.1}, \
              \"fused_mb_per_s\": {:.1}, \"parallel_mb_per_s\": {:.1}, \
@@ -358,10 +360,12 @@ pub fn to_json(rows: &[SplitRow]) -> String {
             r.legacy_micros,
             r.fused_micros,
             r.deduped_micros,
+            r.deduped_parallel_micros,
             r.parallel_micros,
             r.legacy_median_micros,
             r.fused_median_micros,
             r.deduped_median_micros,
+            r.deduped_parallel_median_micros,
             r.parallel_median_micros,
             r.fused_spread_pct,
             r.allocs_per_stmt.map(|a| format!("{a:.1}")).unwrap_or_else(|| "null".into()),

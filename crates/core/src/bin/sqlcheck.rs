@@ -353,9 +353,11 @@ fn print_stats(s: &BatchStats, outcome: &CheckOutcome, args: &Args) {
         s.frontend_threads, s.threads, s.requested_threads,
     );
     eprintln!(
-        "stats: front-end fused split {}us, intake {}us, materialize {}us, parse {}us, \
-         annotate {}us, context {}us",
+        "stats: front-end fused split {}us ({} chunk(s), {} byte(s) re-scanned), intake {}us, \
+         materialize {}us, parse {}us, annotate {}us, context {}us",
         s.split_micros,
+        s.split_chunks,
+        s.split_rescanned_bytes,
         s.intake_micros,
         s.materialize_micros,
         s.parse_micros,
@@ -364,12 +366,13 @@ fn print_stats(s: &BatchStats, outcome: &CheckOutcome, args: &Args) {
     );
     eprintln!(
         "stats: detect group {}us, intra {}us, fanout {}us, inter {}us, \
-         data {}us, total {}us",
+         data {}us, dedup {}us, total {}us",
         s.group_micros,
         s.intra_micros,
         s.fanout_micros,
         s.inter_micros,
         s.data_micros,
+        s.dedup_micros,
         s.total_micros,
     );
     eprintln!(

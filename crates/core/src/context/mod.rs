@@ -303,6 +303,13 @@ pub struct FrontendStats {
     /// grouping — one streaming pass over the script bytes. Excludes
     /// unique-text materialisation ([`FrontendStats::materialize_micros`]).
     pub split_micros: u128,
+    /// Chunks the split ran, one worker thread each, summed over the
+    /// added scripts (one per script when it is split sequentially).
+    pub split_chunks: usize,
+    /// Bytes the split scanned again on the calling thread because a
+    /// guessed chunk start was not a statement boundary (see
+    /// [`sqlcheck_parser::splitter::DedupedSplit::rescanned_bytes`]).
+    pub split_rescanned_bytes: usize,
     /// Wall-clock microseconds spent materialising token streams at
     /// intake for the first text of each shape (re-lexing its span into
     /// owned tokens).
@@ -457,10 +464,11 @@ fn no_diags() -> Arc<[Diagnostic]> {
 ///
 /// Scripts enter through the deduping splitter
 /// ([`sqlcheck_parser::splitter::split_deduped`]): a boundary pass
-/// (chunked across scoped worker threads for large scripts) groups
-/// duplicate texts, and each unique text is content-hashed,
-/// shape-hashed and fingerprinted — before parsing, and without a
-/// whole-script token stream. Token vectors exist only for the **first
+/// (chunked across scoped worker threads for large scripts, each chunk
+/// deduped and hashed on its own worker) groups duplicate texts, and
+/// each unique text is content-hashed, shape-hashed and fingerprinted —
+/// before parsing, and without a whole-script token stream. Token
+/// vectors exist only for the **first
 /// text of each shape**, which is materialised at intake, then parsed
 /// and annotated exactly once at build time (optionally across scoped
 /// worker threads); the resulting AST/annotations are shared via [`Arc`]
@@ -489,6 +497,8 @@ pub struct ContextBuilder {
     database: Option<(Arc<Database>, DataAnalysisConfig)>,
     opts: FrontendOptions,
     split_micros: u128,
+    split_chunks: usize,
+    split_rescanned_bytes: usize,
     materialize_micros: u128,
     intake_micros: u128,
     /// Whether any added script contained a `DELIMITER` directive
@@ -578,13 +588,11 @@ impl ContextBuilder {
         d
     }
 
-    /// Decide the chunk-parallel split worker count for one script.
-    fn split_threads(&self, len: usize) -> usize {
-        // Below ~16 KiB the pre-scan + spawn overhead outweighs the lex
-        // work; the chunked path stays byte-identical either way. For
-        // larger scripts the splitter additionally size-clamps the chunk
-        // count so every chunk carries at least ~16 KiB.
-        if !cfg!(feature = "parallel") || !self.opts.parallel || len < 16 * 1024 {
+    /// Decide the chunk-parallel split worker count. The splitter itself
+    /// clamps the chunk count so every chunk carries at least ~16 KiB;
+    /// the output is the same either way.
+    fn split_threads(&self) -> usize {
+        if !cfg!(feature = "parallel") || !self.opts.parallel {
             return 1;
         }
         let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -600,7 +608,7 @@ impl ContextBuilder {
     pub fn add_script(mut self, script: &str) -> Self {
         let t = Instant::now();
         let dialect = self.resolve_dialect(script);
-        let threads = self.split_threads(script.len());
+        let threads = self.split_threads();
         let mut mat_micros = 0u128;
         if self.opts.dedup {
             let deduped = split_deduped_dialect(script, threads, dialect);
@@ -610,6 +618,8 @@ impl ContextBuilder {
             // occurrences)) report honest split numbers.
             self.split_micros += t.elapsed().as_micros();
             let t_intake = Instant::now();
+            self.split_chunks += deduped.chunks;
+            self.split_rescanned_bytes += deduped.rescanned_bytes;
             self.saw_delimiter_directive |= deduped.saw_delimiter_directive;
             // Map script-local unique slots onto builder slots, taking in
             // only texts no earlier script contributed (the split's
@@ -747,6 +757,8 @@ impl ContextBuilder {
             unique_texts: uniques.len(),
             unique_shapes: self.shape_of.len(),
             split_micros: self.split_micros,
+            split_chunks: self.split_chunks,
+            split_rescanned_bytes: self.split_rescanned_bytes,
             materialize_micros: self.materialize_micros,
             intake_micros: self.intake_micros,
             threads: 1,

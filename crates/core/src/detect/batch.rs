@@ -140,6 +140,9 @@ pub struct BatchStats {
     /// Wall-clock microseconds spent in the data-analysis phase
     /// (per-table units on the worker pool; 0 without a database).
     pub data_micros: u128,
+    /// Wall-clock microseconds dropping repeated `(kind, locus, span)`
+    /// detections across the phases.
+    pub dedup_micros: u128,
     /// Wall-clock microseconds for the whole batch detection.
     pub total_micros: u128,
     /// Front-end: microseconds in the fused split pass — lexing,
@@ -149,6 +152,11 @@ pub struct BatchStats {
     ///
     /// [`FrontendStats`]: crate::context::FrontendStats
     pub split_micros: u128,
+    /// Front-end: chunks the split ran, one worker thread each.
+    pub split_chunks: usize,
+    /// Front-end: bytes the split scanned again after a mis-guessed
+    /// chunk start.
+    pub split_rescanned_bytes: usize,
     /// Front-end: microseconds materialising token streams for unique
     /// statement texts at intake (no longer lumped into `split_micros`).
     pub materialize_micros: u128,
@@ -237,6 +245,8 @@ impl BatchStats {
         self.parsed_texts = fe.parsed_texts;
         self.frontend_threads = fe.threads;
         self.split_micros = fe.split_micros;
+        self.split_chunks = fe.split_chunks;
+        self.split_rescanned_bytes = fe.split_rescanned_bytes;
         self.materialize_micros = fe.materialize_micros;
         self.intake_micros = fe.intake_micros;
         self.parse_micros = fe.parse_micros;
@@ -654,7 +664,9 @@ impl Detector {
 
         // The shared (kind, locus) dedup, then per-occurrence source
         // spans — both identical to the sequential path's final steps.
+        let t_dedup = Instant::now();
         dedup(&mut report.detections);
+        let dedup_micros = t_dedup.elapsed().as_micros();
         attach_spans(&mut report.detections, ctx);
 
         let rule_failures = diagnostics.len();
@@ -672,6 +684,7 @@ impl Detector {
             fanout_micros,
             inter_micros,
             data_micros,
+            dedup_micros,
             total_micros: t_start.elapsed().as_micros(),
             degraded_uniques,
             degraded_statements,

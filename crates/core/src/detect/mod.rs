@@ -24,7 +24,9 @@ pub use cache::{CacheCounters, IncrementalCache, DEFAULT_CACHE_CAPACITY, DEFAULT
 
 use crate::context::{Context, DataAnalysisConfig};
 use crate::report::{Detection, Locus, Report};
+use sqlcheck_parser::fingerprint::FoldHasher;
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 /// Detector configuration (thresholds are the paper's defaults where it
 /// names one; Table 1 mentions the God Table threshold of 10).
@@ -140,15 +142,18 @@ pub(crate) fn attach_default_spans(detections: &mut [Detection], ctx: &Context) 
 /// crediting the earliest (most specific) phase. The (still relative)
 /// span participates so that the same AP kind at two different body
 /// sub-statements of one compound statement is reported per
-/// sub-statement, not collapsed. Runs in O(n) via a hash set (the old
-/// `Vec::contains` scan was quadratic and dominated large workloads).
+/// sub-statement, not collapsed. Runs in O(n) via a hash set of
+/// borrowed keys; a keep-mask then drops the repeats, so the first
+/// occurrence wins.
 pub(crate) fn dedup(detections: &mut Vec<Detection>) {
-    let mut seen: HashSet<(
-        crate::anti_pattern::AntiPatternKind,
-        Locus,
-        Option<crate::report::Span>,
-    )> = HashSet::with_capacity(detections.len());
-    detections.retain(|d| seen.insert((d.kind, d.locus.clone(), d.span)));
+    type Key<'d> = (crate::anti_pattern::AntiPatternKind, &'d Locus, Option<crate::report::Span>);
+    let mut seen: HashSet<Key, BuildHasherDefault<FoldHasher>> =
+        HashSet::with_capacity_and_hasher(detections.len(), Default::default());
+    let keep: Vec<bool> =
+        detections.iter().map(|d| seen.insert((d.kind, &d.locus, d.span))).collect();
+    drop(seen);
+    let mut keep = keep.into_iter();
+    detections.retain(|_| keep.next().unwrap_or(true));
 }
 
 #[cfg(test)]

@@ -3,10 +3,11 @@
 //! Real schema dumps contain trigger/procedure DDL whose `BEGIN … END`
 //! bodies hold whole statements — the inner semicolons terminate *body*
 //! statements, not the DDL statement itself. [`BlockTracker`] is the
-//! shared state machine that every split path (fused streaming, spans-only
-//! dedup scan, chunk-parallel pre-scan, and the legacy two-pass reference)
-//! consults per significant token so all of them agree, byte for byte, on
-//! where statements end.
+//! shared state machine that every split path (fused streaming, the
+//! chunked dedup scan, and the legacy two-pass reference) consults per
+//! significant token so all of them agree, byte for byte, on where
+//! statements end. After a default `;` terminator its state is fresh
+//! again; the chunked splitter joins chunk scans at exactly those points.
 //!
 //! The tracker answers three questions:
 //!
@@ -37,8 +38,8 @@
 //!
 //! The tracker is dialect-aware ([`BlockTracker::with_dialect`]):
 //! `DELIMITER` directives are honoured only where the dialect allows them
-//! (Generic, MySQL) — under Postgres the word is an ordinary identifier,
-//! so PL/pgSQL scripts keep chunk-parallel splitting — and a
+//! (Generic, MySQL) — under Postgres the word is an ordinary identifier
+//! — and a
 //! statement-initial `BEGIN ATOMIC` (SQL standard, Postgres 14+ SQL-body
 //! routines) opens a block under Generic/Postgres via one token of
 //! lookahead, exactly like the deferred-`END` decision. The old `$$`
@@ -103,10 +104,10 @@ pub(crate) struct BlockTracker {
     /// Chunk offsets below this belong to a directive line or to the
     /// trailing bytes of a multi-byte terminator.
     skip_until: usize,
-    /// A `DELIMITER` directive was seen (the chunk-parallel pre-scan
-    /// bails to a single sequential chunk, because the active delimiter
-    /// would otherwise have to be threaded across chunk starts).
-    saw_directive: bool,
+    /// Start offset of the last `DELIMITER` directive processed, if any
+    /// (the chunked splitter reports a directive only when it lies in a
+    /// region whose statements it keeps).
+    last_directive: Option<usize>,
     /// Single-branch fast-path flag, kept in sync with the rest of the
     /// state: true exactly when `;` is the terminator and no word can
     /// change the split state (mid-statement, plain header, depth 0, no
@@ -201,7 +202,7 @@ impl BlockTracker {
             at_stmt_start: true,
             delimiter: None,
             skip_until: 0,
-            saw_directive: false,
+            last_directive: None,
             fast: false,
             dialect,
         }
@@ -219,8 +220,22 @@ impl BlockTracker {
     }
 
     /// Whether a `DELIMITER` directive has been seen so far.
+    #[cfg(test)]
     pub(crate) fn saw_directive(&self) -> bool {
-        self.saw_directive
+        self.last_directive.is_some()
+    }
+
+    /// Start offset of the last `DELIMITER` directive seen so far.
+    pub(crate) fn last_directive(&self) -> Option<usize> {
+        self.last_directive
+    }
+
+    /// Whether `;` is the statement terminator (no custom `DELIMITER` is
+    /// active). Right after a terminator this means the tracker is back
+    /// in its fresh state: every other field is reset per statement.
+    #[inline]
+    pub(crate) fn default_delimiter(&self) -> bool {
+        self.delimiter.is_none()
     }
 
     /// Fast-path probe for the sinks' hot loops: when true, `;` is the
@@ -387,7 +402,7 @@ impl BlockTracker {
                 && self.dialect.delimiter_directives()
                 && is_word(w, b"DELIMITER")
             {
-                return self.directive(bytes, end);
+                return self.directive(bytes, start, end);
             }
             self.header = if is_word(w, b"CREATE") { Header::Create } else { Header::Plain };
             if self.dialect.begin_atomic() && is_word(w, b"BEGIN") {
@@ -434,8 +449,8 @@ impl BlockTracker {
 
     /// Process a `DELIMITER` directive: the rest of the line names the
     /// new statement terminator and belongs to no statement.
-    fn directive(&mut self, bytes: &[u8], word_end: usize) -> SplitAction {
-        self.saw_directive = true;
+    fn directive(&mut self, bytes: &[u8], word_start: usize, word_end: usize) -> SplitAction {
+        self.last_directive = Some(word_start);
         let line_end = match memchr(b'\n', &bytes[word_end..]) {
             Some(off) => word_end + off,
             None => bytes.len(),

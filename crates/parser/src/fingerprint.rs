@@ -708,6 +708,50 @@ impl ParsedStatement {
     }
 }
 
+/// Fast non-cryptographic hasher for in-memory maps over short keys —
+/// statement texts, enum tags, indices, names (FxHash-style word
+/// folding). Not stable across versions; collisions only cost a key
+/// comparison.
+#[derive(Default)]
+pub struct FoldHasher(u64);
+
+impl FoldHasher {
+    #[inline]
+    fn fold(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl std::hash::Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.fold(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rem.len()].copy_from_slice(rem);
+            self.fold(u64::from_le_bytes(tail));
+        }
+    }
+    fn write_u8(&mut self, i: u8) {
+        self.fold(i as u64);
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.fold(i as u64);
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.fold(i);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.fold(i as u64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,7 +26,7 @@ use crate::token::{is_keyword, Span, Token, TokenKind};
 pub(crate) trait TokenSink {
     /// When `false`, the lexer may skip keyword classification and emit
     /// every word token as [`TokenKind::Ident`] — for sinks that only
-    /// care about token *boundaries* (e.g. the parallel-split pre-scan).
+    /// care about token *boundaries* (e.g. the chunked split's scan).
     const CLASSIFY_WORDS: bool = true;
 
     /// One token.
@@ -52,7 +52,15 @@ pub(crate) trait TokenSink {
 
 /// Lex `input` under `dialect`, pushing every token into `sink`.
 pub(crate) fn lex_into<S: TokenSink>(input: &str, dialect: Dialect, sink: &mut S) {
-    Lexer { src: input, bytes: input.as_bytes(), pos: 0, dialect, sink }.run();
+    lex_from(input, 0, dialect, sink);
+}
+
+/// Lex `input` from byte `start` on, pushing tokens with offsets into
+/// `input`. The lexer's only state is its position, so from a token
+/// boundary of the whole-input lex this emits exactly that lex's later
+/// tokens. `start` must be a char boundary.
+pub(crate) fn lex_from<S: TokenSink>(input: &str, start: usize, dialect: Dialect, sink: &mut S) {
+    Lexer { src: input, bytes: input.as_bytes(), pos: start, dialect, sink }.run();
 }
 
 /// Sink collecting the full span-level stream.

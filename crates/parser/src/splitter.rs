@@ -16,10 +16,31 @@
 //! token vectors exist only for the **unique** texts a consumer actually
 //! [materialises](SplitStatement::materialize) for parsing
 //! ([`split_deduped`] performs that grouping here, in the splitter).
-//! [`split_stream_parallel`] additionally chunks the script at safe
-//! statement boundaries (found by a quote/comment/dollar-quote-aware
-//! pre-scan) and lexes the chunks on scoped worker threads, merging
-//! deterministically — byte-identical output to the sequential pass.
+//!
+//! [`split_deduped`] (and [`split_stream_parallel`], its per-occurrence
+//! view) runs on every core through one chunked splitter, with no pre-scan:
+//!
+//! - **Speculative starts.** Worker `i` starts just past the first `;`
+//!   byte at or after `i · len / threads`, found by a byte search. The
+//!   guess may land inside a string, a comment, a dollar quote, a
+//!   `BEGIN…END` body or a `DELIMITER` region.
+//! - **Per-chunk state.** Each worker splits, dedups and shape- and
+//!   fingerprint-hashes its own chunk with its own text map,
+//!   `UniqueHasher` and interner, and records its *clean points*: the
+//!   ends of `;` terminators after which the block tracker is fresh.
+//!   Untracked until a word that could make block tracking matter, it
+//!   then re-lexes only the current statement, tracked.
+//! - **Resync law.** A chunk's output is trusted from the first clean
+//!   point it shares with the true scan. The left neighbour scans past
+//!   its nominal end to its first clean point at or after the next start;
+//!   if that is a clean point of the next chunk too, both scans are in
+//!   the same state there, so the next chunk's output from there on is
+//!   the true one. Otherwise the calling thread continues the true scan
+//!   until it reaches a clean point some chunk shares, or the end. Any
+//!   set of starts therefore gives the sequential output.
+//! - **One merge.** The caller walks the kept occurrences in order,
+//!   probing the text maps of the chunks merged before; a unique's span
+//!   is the span of its first kept occurrence.
 //!
 //! The original two-pass splitter ([`split_spanned`]) is kept as the
 //! readable reference implementation; property tests pin the fused path
@@ -29,10 +50,10 @@ use crate::block::{BlockTracker, SplitAction};
 use crate::dialect::Dialect;
 use crate::fingerprint::{
     content_hash_bytes, content_hash_spanned, fingerprint_spanned, shape_hash_spanned,
-    ShapeHasher, StreamingFingerprint,
+    FoldHasher, ShapeHasher, StreamingFingerprint,
 };
 use crate::intern::Interner;
-use crate::lexer::{lex_into, lex_spans_dialect, SpannedToken, TokenSink};
+use crate::lexer::{lex_from, lex_into, lex_spans_dialect, SpannedToken, TokenSink};
 use crate::token::{Span, Token, TokenKind};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -402,10 +423,8 @@ const MEMO_MIN_HIT_SHIFT: u32 = 3;
 /// memo on duplicate-poor workloads so they never pay for a table they
 /// cannot hit.
 struct SplitSink<'a> {
-    chunk: &'a str,
+    script: &'a str,
     bytes: &'a [u8],
-    /// Absolute offset of `chunk` within the original script.
-    offset: usize,
     out: Vec<SplitStatement>,
     /// A statement is open (at least one significant token seen).
     started: bool,
@@ -427,11 +446,10 @@ struct SplitSink<'a> {
 }
 
 impl<'a> SplitSink<'a> {
-    fn new(chunk: &'a str, offset: usize, dialect: Dialect) -> Self {
+    fn new(script: &'a str, dialect: Dialect) -> Self {
         SplitSink {
-            chunk,
-            bytes: chunk.as_bytes(),
-            offset,
+            script,
+            bytes: script.as_bytes(),
             out: Vec::new(),
             started: false,
             start: 0,
@@ -451,7 +469,7 @@ impl<'a> SplitSink<'a> {
             return;
         }
         self.started = false;
-        let slice = &self.chunk[self.start - self.offset..self.end - self.offset];
+        let slice = &self.script[self.start..self.end];
         let content_hash = content_hash_bytes(slice.as_bytes());
         let (shape_hash, fingerprint) = if self.memo_on {
             self.probes += 1;
@@ -520,9 +538,9 @@ impl TokenSink for SplitSink<'_> {
         }
         if !self.started {
             self.started = true;
-            self.start = self.offset + start;
+            self.start = start;
         }
-        self.end = self.offset + end;
+        self.end = end;
     }
 }
 
@@ -536,372 +554,9 @@ pub fn split_stream(script: &str) -> Vec<SplitStatement> {
 
 /// [`split_stream`] under an explicit [`Dialect`].
 pub fn split_stream_dialect(script: &str, dialect: Dialect) -> Vec<SplitStatement> {
-    split_range(script, 0, script.len(), dialect)
-}
-
-fn split_range(script: &str, start: usize, end: usize, dialect: Dialect) -> Vec<SplitStatement> {
-    let mut sink = SplitSink::new(&script[start..end], start, dialect);
-    lex_into(&script[start..end], dialect, &mut sink);
-    sink.finish()
-}
-
-/// Spans-only statement boundary sink — the cheapest possible split pass,
-/// used by [`split_deduped`]'s byte-level grouping. Statement spans
-/// depend only on trivia-vs-significant classification and the block
-/// tracker's terminator decisions, so keyword lookup is skipped entirely
-/// and nothing is hashed (the tracker compares raw word bytes itself).
-struct SpanOnlySink<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-    out: Vec<Span>,
-    started: bool,
-    start: usize,
-    end: usize,
-    tracker: BlockTracker,
-}
-
-impl SpanOnlySink<'_> {
-    fn flush(&mut self) {
-        if self.started {
-            self.started = false;
-            self.out.push(Span::new(self.start, self.end));
-        }
-    }
-
-    /// Tracked token handling — out of line so the fast path in
-    /// [`TokenSink::token`] stays small enough to inline at every lexer
-    /// emit site (the sink body is monomorphised into the lexer loop;
-    /// bloating it regresses the whole scan).
-    #[inline(never)]
-    fn token_slow(&mut self, kind: TokenKind, start: usize, end: usize) {
-        match self.tracker.offer(self.bytes, kind, start, end) {
-            SplitAction::Token => {
-                if !self.started {
-                    self.started = true;
-                    self.start = self.offset + start;
-                }
-                self.end = self.offset + end;
-            }
-            SplitAction::Terminator => self.flush(),
-            SplitAction::Directive => {}
-        }
-    }
-}
-
-impl TokenSink for SpanOnlySink<'_> {
-    const CLASSIFY_WORDS: bool = false;
-
-    #[inline]
-    fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
-        if matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
-            return;
-        }
-        // Fast path (plain mid-statement state): only `;` matters, and
-        // ordinary tokens need no tracker interaction at all.
-        if self.tracker.is_fast() {
-            if kind == TokenKind::Punct && end - start == 1 && self.bytes[start] == b';' {
-                self.tracker.fast_terminator();
-                self.flush();
-            } else {
-                if !self.started {
-                    self.started = true;
-                    self.start = self.offset + start;
-                }
-                self.end = self.offset + end;
-            }
-            return;
-        }
-        self.token_slow(kind, start, end);
-    }
-}
-
-/// Speculative spans-only sink: the pre-tracker scan (every top-level
-/// `;` terminates) plus a watch for the marker words that could make
-/// block tracking matter ([`crate::block`]'s `may_need_tracking`). On a hit it
-/// aborts (via [`TokenSink::done`]) and the caller re-scans with the
-/// tracked [`SpanOnlySink`]. Plain workloads — the overwhelmingly common
-/// case — thus pay **zero** per-token tracking cost.
-struct SpeculativeSpanSink<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-    out: Vec<Span>,
-    started: bool,
-    start: usize,
-    end: usize,
-    needs_tracking: bool,
-}
-
-impl TokenSink for SpeculativeSpanSink<'_> {
-    const CLASSIFY_WORDS: bool = false;
-
-    #[inline]
-    fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
-        if matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
-            return;
-        }
-        if kind == TokenKind::Punct && end - start == 1 && self.bytes[start] == b';' {
-            if self.started {
-                self.started = false;
-                self.out.push(Span::new(self.start, self.end));
-            }
-            return;
-        }
-        if kind == TokenKind::Ident && crate::block::may_need_tracking(&self.bytes[start..end])
-        {
-            self.needs_tracking = true;
-            return;
-        }
-        if !self.started {
-            self.started = true;
-            self.start = self.offset + start;
-        }
-        self.end = self.offset + end;
-    }
-
-    #[inline]
-    fn done(&self) -> bool {
-        self.needs_tracking
-    }
-}
-
-/// Spans-only split of a range, plus whether a `DELIMITER` directive was
-/// processed in the range. The flag is a property of the script bytes
-/// (directives are recognised at statement starts, and chunk boundaries
-/// are statement boundaries), so OR-ing it over any chunking of the
-/// script yields the same answer — deterministic across thread counts.
-fn split_spans_range_diag(
-    script: &str,
-    start: usize,
-    end: usize,
-    dialect: Dialect,
-) -> (Vec<Span>, bool) {
-    let chunk = &script[start..end];
-    // First pass: untracked, aborting on the first word that could make
-    // block tracking matter. Completing it means no DELIMITER word
-    // exists in the range at all.
-    let mut fast = SpeculativeSpanSink {
-        bytes: chunk.as_bytes(),
-        offset: start,
-        out: Vec::new(),
-        started: false,
-        start: 0,
-        end: 0,
-        needs_tracking: false,
-    };
-    lex_into(chunk, dialect, &mut fast);
-    if !fast.needs_tracking {
-        if fast.started {
-            fast.out.push(Span::new(fast.start, fast.end));
-        }
-        return (fast.out, false);
-    }
-    // Trigger/procedure/function/DELIMITER/ATOMIC vocabulary present:
-    // re-scan with the full block tracker.
-    let mut sink = SpanOnlySink {
-        bytes: chunk.as_bytes(),
-        offset: start,
-        out: Vec::new(),
-        started: false,
-        start: 0,
-        end: 0,
-        tracker: BlockTracker::with_dialect(dialect),
-    };
-    lex_into(chunk, dialect, &mut sink);
-    if sink.started {
-        sink.out.push(Span::new(sink.start, sink.end));
-    }
-    let saw_directive = sink.tracker.saw_directive();
-    (sink.out, saw_directive)
-}
-
-/// Lex + hash the single statement covering `span` (a trimmed statement
-/// span: starts and ends on significant tokens). The content hash covers
-/// the span's raw bytes; shape and fingerprint re-lex the slice — a
-/// compound statement's body semicolons (or, under a custom `DELIMITER`,
-/// embedded top-level-looking `;`) are ordinary statement content,
-/// exactly as the tracked pass treated them.
-fn hash_span(script: &str, span: Span, hasher: &mut UniqueHasher) -> SplitStatement {
-    let slice = &script[span.start..span.end];
-    let (shape_hash, fingerprint) = hasher.hash(slice);
-    SplitStatement {
-        span,
-        content_hash: content_hash_bytes(slice.as_bytes()),
-        fingerprint,
-        shape_hash,
-    }
-}
-
-/// Pre-scan sink that records safe chunk boundaries: the end offset of
-/// the first top-level statement terminator at or past each target
-/// offset. "Top-level" is decided by the lexer (`;` consumed inside
-/// strings, comments, quoted identifiers, dollar-quoted bodies, or
-/// DB-API parameters never reaches the sink) **and** by the shared
-/// [`BlockTracker`] (`;` inside a `BEGIN…END` body is not a terminator),
-/// so the boundaries resynchronise exactly where the sequential splitter
-/// ends a statement. Keyword classification is skipped
-/// (`CLASSIFY_WORDS = false`) — the tracker compares word bytes itself.
-///
-/// A `DELIMITER` directive makes the sink bail (`bail = true`): the
-/// active custom delimiter would have to be threaded into every later
-/// chunk, so such scripts are split sequentially instead — same output,
-/// no chunking.
-struct BoundarySink<'a> {
-    bytes: &'a [u8],
-    targets: &'a [usize],
-    next: usize,
-    out: Vec<usize>,
-    tracker: BlockTracker,
-    bail: bool,
-}
-
-impl TokenSink for BoundarySink<'_> {
-    const CLASSIFY_WORDS: bool = false;
-
-    #[inline]
-    fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
-        if matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
-            return;
-        }
-        let terminator = if self.tracker.is_fast() {
-            if kind == TokenKind::Punct && end - start == 1 && self.bytes[start] == b';' {
-                self.tracker.fast_terminator();
-                true
-            } else {
-                return;
-            }
-        } else {
-            let action = self.tracker.offer(self.bytes, kind, start, end);
-            if self.tracker.saw_directive() {
-                self.bail = true;
-                return;
-            }
-            action == SplitAction::Terminator
-        };
-        if terminator
-            && self.next < self.targets.len()
-            && end >= self.targets[self.next]
-        {
-            self.out.push(end);
-            while self.next < self.targets.len() && self.targets[self.next] <= end {
-                self.next += 1;
-            }
-        }
-    }
-
-    #[inline]
-    fn done(&self) -> bool {
-        self.bail || self.next >= self.targets.len()
-    }
-}
-
-/// Floor on the bytes a parallel split chunk should carry: below this,
-/// thread spawn + join overhead outweighs the lexing saved, so the
-/// effective chunk count is clamped to `len / MIN_CHUNK_BYTES`. The
-/// clamp is byte-identity-safe — it only changes how many boundary
-/// targets the pre-scan aims for, never where statements end.
-const MIN_CHUNK_BYTES: usize = 16 * 1024;
-
-/// Chunk the script into at most `threads` ranges that all start right
-/// after a top-level `;` (or at 0) — every range is a whole number of
-/// statements (never the middle of a `BEGIN…END` body), so per-range
-/// splits concatenate to the sequential result. The range count is
-/// additionally size-clamped so every chunk carries at least
-/// [`MIN_CHUNK_BYTES`] (oversubscribing tiny scripts only adds spawn
-/// overhead). Scripts containing a `DELIMITER` directive fall back to
-/// one sequential range.
-fn chunk_ranges(script: &str, threads: usize, dialect: Dialect) -> Vec<(usize, usize)> {
-    let len = script.len();
-    let threads = threads.min(len / MIN_CHUNK_BYTES);
-    if threads <= 1 || len == 0 {
-        return vec![(0, len)];
-    }
-    let targets: Vec<usize> =
-        (1..threads).map(|i| (len / threads).saturating_mul(i)).filter(|&t| t > 0).collect();
-    if targets.is_empty() {
-        return vec![(0, len)];
-    }
-    let mut sink = BoundarySink {
-        bytes: script.as_bytes(),
-        targets: &targets,
-        next: 0,
-        out: Vec::new(),
-        tracker: BlockTracker::with_dialect(dialect),
-        bail: false,
-    };
+    let mut sink = SplitSink::new(script, dialect);
     lex_into(script, dialect, &mut sink);
-    if sink.bail {
-        return vec![(0, len)];
-    }
-    let mut ranges = Vec::with_capacity(sink.out.len() + 1);
-    let mut start = 0usize;
-    for b in sink.out {
-        if b > start && b < len {
-            ranges.push((start, b));
-            start = b;
-        }
-    }
-    ranges.push((start, len));
-    ranges
-}
-
-/// [`split_stream`] across `threads` scoped worker threads: a pre-scan
-/// finds safe chunk boundaries (statement terminators at top level), the
-/// chunks are lexed+hashed independently, and the per-chunk statements
-/// are concatenated in chunk order. Output is byte-identical to
-/// [`split_stream`] for every `threads` value. With the `parallel`
-/// feature disabled (or `threads <= 1`) the chunks are processed
-/// sequentially — same output, no thread spawns.
-pub fn split_stream_parallel(script: &str, threads: usize) -> Vec<SplitStatement> {
-    split_stream_parallel_dialect(script, threads, Dialect::Generic)
-}
-
-/// [`split_stream_parallel`] under an explicit [`Dialect`]. Scripts whose
-/// dialect does not honour `DELIMITER` directives (e.g. Postgres) never
-/// trigger the sequential fallback, even when the word appears in them.
-pub fn split_stream_parallel_dialect(
-    script: &str,
-    threads: usize,
-    dialect: Dialect,
-) -> Vec<SplitStatement> {
-    let ranges = chunk_ranges(script, threads, dialect);
-    if ranges.len() <= 1 {
-        return split_stream_dialect(script, dialect);
-    }
-    run_chunks(script, &ranges, |s, a, b| split_range(s, a, b, dialect))
-}
-
-#[cfg(feature = "parallel")]
-fn run_chunks<T, F>(script: &str, ranges: &[(usize, usize)], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&str, usize, usize) -> Vec<T> + Sync,
-{
-    let chunks: Vec<Vec<T>> = std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(a, b)| (s.spawn(move || f(script, a, b)), a, b))
-            .collect();
-        handles
-            .into_iter()
-            // A worker that panicked has its range re-split on the
-            // calling thread: if the panic was transient (allocation
-            // pressure) the result is still produced, and if it is
-            // deterministic it propagates here exactly as the sequential
-            // path would — never an opaque join `.expect`.
-            .map(|(h, a, b)| h.join().unwrap_or_else(|_| f(script, a, b)))
-            .collect()
-    });
-    chunks.into_iter().flatten().collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_chunks<T, F>(script: &str, ranges: &[(usize, usize)], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&str, usize, usize) -> Vec<T> + Sync,
-{
-    ranges.iter().flat_map(|&(a, b)| f(script, a, b)).collect()
+    sink.finish()
 }
 
 /// A script split and deduplicated in one step: every occurrence in
@@ -914,105 +569,509 @@ pub struct DedupedSplit {
     /// One `(unique_index, span)` entry per statement occurrence, in
     /// script order.
     pub occurrences: Vec<(u32, Span)>,
-    /// The script contains a `DELIMITER` directive — chunk-parallel
-    /// splitting fell back to (or would fall back to) a single
-    /// sequential pass. Deterministic across thread counts: it is a
-    /// property of the script, not of the chunking.
+    /// The script contains a `DELIMITER` directive. A property of the
+    /// script, the same for every chunking: only directives inside the
+    /// regions whose statements the merge keeps are counted.
     pub saw_delimiter_directive: bool,
+    /// Chunks scanned, one worker each (1 = one sequential scan).
+    pub chunks: usize,
+    /// Bytes the merge scanned again on the calling thread because a
+    /// chunk's guessed start was not a statement boundary of the script.
+    pub rescanned_bytes: usize,
 }
 
-/// Fast non-cryptographic hasher for the dedup map's `&str` keys
-/// (FxHash-style word-folding). Collisions only cost a key comparison —
-/// the map's equality check is the exact statement bytes.
-#[derive(Default)]
-struct StrFold(u64);
+impl DedupedSplit {
+    /// Every occurrence as a [`SplitStatement`] with its own span, in
+    /// script order — what [`split_stream`] returns for the same script.
+    pub fn statements(&self) -> Vec<SplitStatement> {
+        self.occurrences
+            .iter()
+            .map(|&(slot, span)| SplitStatement { span, ..self.uniques[slot as usize] })
+            .collect()
+    }
+}
 
-impl Hasher for StrFold {
-    fn finish(&self) -> u64 {
-        self.0
+/// Statement text → local unique slot, for one scan.
+type TextSlots<'s> = HashMap<&'s str, u32, BuildHasherDefault<FoldHasher>>;
+
+/// What one scan hands to the merge: its statements deduped against
+/// each other, and the points where the merge may join it.
+#[derive(Default)]
+struct ChunkOut<'s> {
+    /// Unique texts in first-occurrence order within the scan, hashed.
+    uniques: Vec<SplitStatement>,
+    /// `(local slot, span)` per statement, in scan order.
+    occurrences: Vec<(u32, Span)>,
+    slots: TextSlots<'s>,
+    /// `(offset, statements before it)` for the scan start and, if the
+    /// merge may join the scan later on, for the end of every clean
+    /// terminator; ascending.
+    clean: Vec<(usize, u32)>,
+    /// Where the scan stopped: its last clean terminator end, or the end
+    /// of the script.
+    end: usize,
+    /// Offset of the last `DELIMITER` directive the scan processed.
+    last_directive: Option<usize>,
+}
+
+impl ChunkOut<'_> {
+    /// Index into `clean` of a clean point at `offset`, if the scan has
+    /// one there.
+    fn clean_at(&self, offset: usize) -> Option<usize> {
+        self.clean.binary_search_by_key(&offset, |&(o, _)| o).ok()
     }
-    fn write(&mut self, bytes: &[u8]) {
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        let mut h = self.0;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            h = (h.rotate_left(5) ^ w).wrapping_mul(K);
+}
+
+/// When a scan stops, asked at each clean terminator end.
+enum Stop<'a, 's> {
+    /// A worker: at its first clean end at or past the next chunk's start
+    /// (never, for the last chunk).
+    At(usize),
+    /// The merge's re-scan after a mis-guessed start: at the first clean
+    /// end that is also a clean point of the chunk covering it. `next` is
+    /// the first chunk whose scan reaches that far.
+    Shared { chunks: &'a [ChunkOut<'s>], next: usize },
+}
+
+impl Stop<'_, '_> {
+    fn reached(&mut self, end: usize) -> bool {
+        match self {
+            Stop::At(at) => end >= *at,
+            Stop::Shared { chunks, next } => {
+                while *next < chunks.len() && chunks[*next].end < end {
+                    *next += 1;
+                }
+                chunks.get(*next).is_some_and(|c| c.clean_at(end).is_some())
+            }
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            h = (h.rotate_left(5) ^ u64::from_le_bytes(tail)).wrapping_mul(K);
+    }
+}
+
+/// One scan of the chunked splitter: lexes from a start offset, splits,
+/// dedups the statement texts against each other and hashes each new
+/// one ([`UniqueHasher`]), with its own map, hasher and interner.
+///
+/// A **clean terminator** is a `;` that ends a statement while `;` is the
+/// terminator (no custom `DELIMITER`): after it the block tracker is in
+/// its fresh state, so the scan's whole state is its position. A scan
+/// assumes it starts at such a point.
+///
+/// The scan runs untracked (every `;` terminates, as in a script without
+/// compound statements or directives) until a word that could make block
+/// tracking matter ([`crate::block`]'s `may_need_tracking`). The
+/// statements flushed before that word split the same either way, so
+/// the lexer stops and the scan resumes, tracked ([`TrackedScan`]), from
+/// the end of the last clean terminator: only the current statement is
+/// lexed again. The next clean terminator switches it back. Each mode is
+/// its own sink type, so each lexer loop carries only its own branches.
+struct ChunkScan<'a, 's> {
+    script: &'s str,
+    bytes: &'s [u8],
+    stop: Stop<'a, 's>,
+    /// The stop condition fired: the scan ends at `last_clean`.
+    stopped: bool,
+    /// The lexer should return: the scan stopped or switches mode.
+    halt: bool,
+    /// Block tracking is on (see the type docs).
+    tracked: bool,
+    tracker: BlockTracker,
+    /// A statement is open (at least one significant token seen).
+    started: bool,
+    /// Span bounds of the open statement.
+    start: usize,
+    end: usize,
+    /// End of the last clean terminator (or the scan start).
+    last_clean: usize,
+    /// Record every clean point in `out.clean`, not just the start: the
+    /// merge may join this scan past its start (a worker's chunk other
+    /// than the first).
+    joinable: bool,
+    /// Statement spans in scan order, deduped after the lex.
+    spans: Vec<Span>,
+    out: ChunkOut<'s>,
+}
+
+impl<'a, 's> ChunkScan<'a, 's> {
+    /// Scan `script` from `from`, a clean point, until `stop` fires or
+    /// the script ends.
+    fn run(
+        script: &'s str,
+        from: usize,
+        dialect: Dialect,
+        stop: Stop<'a, 's>,
+        joinable: bool,
+    ) -> ChunkOut<'s> {
+        let mut scan = ChunkScan {
+            script,
+            bytes: script.as_bytes(),
+            stop,
+            stopped: false,
+            halt: false,
+            tracked: false,
+            tracker: BlockTracker::with_dialect(dialect),
+            started: false,
+            start: 0,
+            end: 0,
+            last_clean: from,
+            joinable,
+            spans: Vec::new(),
+            out: ChunkOut { clean: vec![(from, 0)], ..ChunkOut::default() },
+        };
+        let mut pos = from;
+        loop {
+            if scan.tracked {
+                lex_from(script, pos, dialect, &mut TrackedScan(&mut scan));
+            } else {
+                lex_from(script, pos, dialect, &mut scan);
+            }
+            if !scan.halt || scan.stopped {
+                break;
+            }
+            // A mode switch. Either way the tracker is fresh: untracked
+            // it saw nothing since the last clean terminator, and tracked
+            // it just passed one. An open statement is lexed again.
+            scan.halt = false;
+            scan.started = false;
+            pos = scan.last_clean;
         }
-        self.0 = h;
+        if scan.stopped {
+            scan.out.end = scan.last_clean;
+        } else {
+            scan.flush();
+            scan.out.end = script.len();
+        }
+        scan.out.last_directive = scan.tracker.last_directive();
+        scan.dedup(dialect);
+        scan.out
     }
-    fn write_u8(&mut self, i: u8) {
-        // `str`'s Hash impl appends a 0xFF length terminator.
-        self.0 = (self.0.rotate_left(5) ^ i as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+
+    /// Group the scanned statements by text and hash each new text. Kept
+    /// apart from the lex so each loop stays tight.
+    fn dedup(&mut self, dialect: Dialect) {
+        let out = &mut self.out;
+        let mut hasher = UniqueHasher::new(dialect);
+        out.occurrences.reserve_exact(self.spans.len());
+        for &span in &self.spans {
+            let text = &self.script[span.start..span.end];
+            let next = out.uniques.len() as u32;
+            let slot = *out.slots.entry(text).or_insert(next);
+            if slot == next {
+                let (shape_hash, fingerprint) = hasher.hash(text);
+                out.uniques.push(SplitStatement {
+                    span,
+                    content_hash: content_hash_bytes(text.as_bytes()),
+                    fingerprint,
+                    shape_hash,
+                });
+            }
+            out.occurrences.push((slot, span));
+        }
     }
-    fn write_usize(&mut self, i: usize) {
-        self.0 = (self.0.rotate_left(5) ^ i as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+
+    #[inline]
+    fn extend(&mut self, start: usize, end: usize) {
+        if !self.started {
+            self.started = true;
+            self.start = start;
+        }
+        self.end = end;
     }
+
+    /// Close the open statement, if any.
+    #[inline]
+    fn flush(&mut self) {
+        if self.started {
+            self.started = false;
+            self.spans.push(Span::new(self.start, self.end));
+        }
+    }
+
+    /// A clean terminator ending at `end`. Out of line: the sink body is
+    /// monomorphised into the lexer loop, and bloating it slows the
+    /// whole scan.
+    #[inline(never)]
+    fn clean_end(&mut self, end: usize) {
+        self.flush();
+        self.last_clean = end;
+        if self.joinable {
+            self.out.clean.push((end, self.spans.len() as u32));
+        }
+        self.stopped = self.stop.reached(end);
+        self.halt = self.stopped;
+    }
+}
+
+impl TokenSink for ChunkScan<'_, '_> {
+    /// Only boundaries matter here; the tracker compares raw word bytes
+    /// itself, and [`UniqueHasher`] classifies words per unique text.
+    const CLASSIFY_WORDS: bool = false;
+
+    #[inline]
+    fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
+        if matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
+            return;
+        }
+        if kind == TokenKind::Punct && end - start == 1 && self.bytes[start] == b';' {
+            self.clean_end(end);
+        } else if kind == TokenKind::Ident && crate::block::may_need_tracking(&self.bytes[start..end])
+        {
+            self.tracked = true;
+            self.halt = true;
+        } else {
+            self.extend(start, end);
+        }
+    }
+
+    #[inline]
+    fn done(&self) -> bool {
+        self.halt
+    }
+}
+
+/// [`ChunkScan`]'s tracked mode: every significant token goes through
+/// the [`BlockTracker`], until the next clean terminator.
+struct TrackedScan<'x, 'a, 's>(&'x mut ChunkScan<'a, 's>);
+
+impl TokenSink for TrackedScan<'_, '_, '_> {
+    const CLASSIFY_WORDS: bool = false;
+
+    #[inline]
+    fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
+        if matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
+            return;
+        }
+        let scan = &mut *self.0;
+        match scan.tracker.offer(scan.bytes, kind, start, end) {
+            SplitAction::Token => scan.extend(start, end),
+            SplitAction::Terminator if scan.tracker.default_delimiter() => {
+                scan.clean_end(end);
+                scan.tracked = false;
+                scan.halt = true;
+            }
+            SplitAction::Terminator => scan.flush(),
+            SplitAction::Directive => {}
+        }
+    }
+
+    #[inline]
+    fn done(&self) -> bool {
+        self.0.halt
+    }
+}
+
+/// Floor on the bytes a chunk should carry: below this, spawning and
+/// merging a worker costs more than the scan it saves, so the chunk count
+/// is clamped to `len / MIN_CHUNK_BYTES`. Output is the same for every
+/// chunk count.
+const MIN_CHUNK_BYTES: usize = 16 * 1024;
+
+/// Chunk starts for `threads` workers: just past the first `;` byte at or
+/// after each evenly spaced target. A byte search, no lexing — the `;`
+/// may sit inside a string, a comment or a `BEGIN…END` body; the merge
+/// corrects for that (see [`split_chunked`]).
+fn guess_starts(script: &str, threads: usize) -> Vec<usize> {
+    let len = script.len();
+    let chunks = threads.min(len / MIN_CHUNK_BYTES).max(1);
+    let mut starts = Vec::with_capacity(chunks - 1);
+    let mut from = 0;
+    for i in 1..chunks {
+        let target = (len / chunks * i).max(from);
+        match crate::scan::memchr(b';', &script.as_bytes()[target..]) {
+            Some(off) if target + off + 1 < len => {
+                from = target + off + 1;
+                starts.push(from);
+            }
+            _ => break,
+        }
+    }
+    starts
+}
+
+/// [`split_stream`] across `threads` worker threads — the statements of
+/// [`split_deduped`]'s chunked splitter, each with its own span.
+/// Byte-identical to [`split_stream`] for every `threads` value.
+pub fn split_stream_parallel(script: &str, threads: usize) -> Vec<SplitStatement> {
+    split_stream_parallel_dialect(script, threads, Dialect::Generic)
+}
+
+/// [`split_stream_parallel`] under an explicit [`Dialect`].
+pub fn split_stream_parallel_dialect(
+    script: &str,
+    threads: usize,
+    dialect: Dialect,
+) -> Vec<SplitStatement> {
+    split_deduped_dialect(script, threads, dialect).statements()
 }
 
 /// Split the script and group duplicate statement texts, hashing each
-/// **unique** text exactly once (and fingerprinting each unique shape
-/// once).
+/// **unique** text exactly once per chunk (and fingerprinting each unique
+/// shape once per chunk).
 ///
-/// Duplicate detection needs no content hash at all: two statements are
-/// duplicates iff their trimmed source bytes are equal (equal bytes lex
-/// to equal tokens, hence equal hashes). So the per-occurrence pass is
-/// the cheapest one possible — a spans-only boundary scan (no hashing,
-/// no keyword classification), chunk-parallel for large scripts — and
-/// the fused lex+hash pass runs only once per unique text. Duplicates
-/// cost one map probe (exact byte comparison on hit) and carry nothing
-/// but their span.
+/// Two statements are duplicates iff their trimmed source bytes are equal
+/// (equal bytes lex to equal tokens, hence equal hashes), so the
+/// per-occurrence work is a boundary scan plus one map probe; the
+/// lex+hash pass runs once per unique text. Scripts of at least
+/// 2 × 16 KiB are cut into up to `threads` chunks scanned on worker
+/// threads, then merged (see [`split_chunked`]); the output is the same
+/// for every `threads` value.
 pub fn split_deduped(script: &str, threads: usize) -> DedupedSplit {
     split_deduped_dialect(script, threads, Dialect::Generic)
 }
 
 /// [`split_deduped`] under an explicit [`Dialect`].
 pub fn split_deduped_dialect(script: &str, threads: usize, dialect: Dialect) -> DedupedSplit {
-    let ranges = chunk_ranges(script, threads, dialect);
-    let saw_directive = std::sync::atomic::AtomicBool::new(false);
-    let spans: Vec<Span> = if ranges.len() <= 1 {
-        let (spans, saw) = split_spans_range_diag(script, 0, script.len(), dialect);
-        saw_directive.store(saw, std::sync::atomic::Ordering::Relaxed);
-        spans
-    } else {
-        run_chunks(script, &ranges, |s, a, b| {
-            let (spans, saw) = split_spans_range_diag(s, a, b, dialect);
-            if saw {
-                saw_directive.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            spans
-        })
+    split_chunked(script, &guess_starts(script, threads), dialect)
+}
+
+/// [`split_deduped_dialect`] with explicit chunk starts instead of
+/// guessed ones: any byte offsets, in any order (each is moved forward to
+/// a char boundary; `0`, the end and repeats are dropped). For tests of
+/// the merge law: the output equals the one-chunk output for every set of
+/// starts.
+#[doc(hidden)]
+pub fn split_deduped_at(script: &str, starts: &[usize], dialect: Dialect) -> DedupedSplit {
+    let mut starts: Vec<usize> = starts
+        .iter()
+        .map(|&s| (s..script.len()).find(|&b| script.is_char_boundary(b)).unwrap_or(script.len()))
+        .filter(|&s| s > 0 && s < script.len())
+        .collect();
+    starts.sort_unstable();
+    starts.dedup();
+    split_chunked(script, &starts, dialect)
+}
+
+/// The chunked splitter (see the module docs for the resync law). Chunk `i`
+/// is scanned on its own worker from `starts[i - 1]` (chunk 0 from 0) as
+/// if that offset were a clean terminator end, and stops at its first
+/// clean terminator end at or past the next chunk's start; [`merge`]
+/// keeps each chunk's statements from the first clean point it shares
+/// with the true scan.
+fn split_chunked(script: &str, starts: &[usize], dialect: Dialect) -> DedupedSplit {
+    let worker = |i: usize| {
+        let from = if i == 0 { 0 } else { starts[i - 1] };
+        let stop = starts.get(i).copied().unwrap_or(usize::MAX);
+        ChunkScan::run(script, from, dialect, Stop::At(stop), i > 0)
     };
-    let mut uniques: Vec<SplitStatement> = Vec::new();
-    let mut occurrences: Vec<(u32, Span)> = Vec::with_capacity(spans.len());
-    let mut slots: HashMap<&str, u32, BuildHasherDefault<StrFold>> =
-        HashMap::with_capacity_and_hasher(spans.len().min(1024), Default::default());
-    // One interner for the whole script: unique statements share most of
-    // their vocabulary, so word classification amortises across them.
-    let mut hasher = UniqueHasher::new(dialect);
-    for span in spans {
-        let slot = match slots.entry(&script[span.start..span.end]) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let slot = uniques.len() as u32;
-                v.insert(slot);
-                uniques.push(hash_span(script, span, &mut hasher));
-                slot
+    merge(script, run_workers(starts.len() + 1, worker), dialect)
+}
+
+#[cfg(feature = "parallel")]
+fn run_workers<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if n == 1 {
+        return vec![f(0)];
+    }
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = (1..n).map(|i| s.spawn(move || f(i))).collect();
+        let mut out = Vec::with_capacity(n);
+        out.push(f(0));
+        // A worker that panicked has its chunk re-run on the calling
+        // thread: if the panic was transient (allocation pressure) the
+        // result is still produced, and if it is deterministic it
+        // propagates here exactly as the sequential path would.
+        for (i, h) in handles.into_iter().enumerate() {
+            out.push(h.join().unwrap_or_else(|_| f(i + 1)));
+        }
+        out
+    })
+}
+
+#[cfg(not(feature = "parallel"))]
+fn run_workers<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    (0..n).map(f).collect()
+}
+
+/// Marks a local slot with no global slot yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// A merged scan's text map with its local → global slot map (`None`
+/// for chunk 0, whose slots are the global ones).
+type Kept<'s> = (TextSlots<'s>, Option<Vec<u32>>);
+
+/// Merge the chunk scans in order. The true scan is known up to `pos`,
+/// a clean terminator end: the next chunk that reaches `pos` is kept from
+/// there if `pos` is one of its clean points, and otherwise this thread
+/// scans on from `pos` until a clean point some chunk shares.
+fn merge<'s>(script: &'s str, mut chunks: Vec<ChunkOut<'s>>, dialect: Dialect) -> DedupedSplit {
+    let first = std::mem::take(&mut chunks[0]);
+    let mut out = DedupedSplit {
+        uniques: first.uniques,
+        occurrences: first.occurrences,
+        saw_delimiter_directive: first.last_directive.is_some(),
+        chunks: chunks.len(),
+        rescanned_bytes: 0,
+    };
+    let mut kept: Vec<Kept<'s>> = vec![(first.slots, None)];
+    let mut pos = first.end;
+    let mut k = 1;
+    while pos < script.len() {
+        // The last chunk ends at the end of the script, past `pos`.
+        while chunks[k].end < pos {
+            k += 1;
+        }
+        let from = match chunks[k].clean_at(pos) {
+            Some(i) => i,
+            None => {
+                let stop = Stop::Shared { chunks: &chunks, next: k };
+                let rescan = ChunkScan::run(script, pos, dialect, stop, false);
+                out.rescanned_bytes += rescan.end - pos;
+                let end = rescan.end;
+                absorb(&mut out, &mut kept, script, rescan, 0, pos);
+                pos = end;
+                if pos == script.len() {
+                    break;
+                }
+                while chunks[k].end < pos {
+                    k += 1;
+                }
+                chunks[k].clean_at(pos).expect("a re-scan stops at a shared clean end")
             }
         };
-        occurrences.push((slot, span));
+        let chunk = std::mem::take(&mut chunks[k]);
+        let end = chunk.end;
+        absorb(&mut out, &mut kept, script, chunk, from, pos);
+        pos = end;
+        k += 1;
     }
-    DedupedSplit {
-        uniques,
-        occurrences,
-        saw_delimiter_directive: saw_directive.into_inner(),
+    out
+}
+
+/// Append a scan's statements from its clean point `clean[from]` (at
+/// script offset `pos`) to the merged output, mapping its local slots to
+/// global ones: a text the scans merged before kept takes their slot, a
+/// new text becomes a unique with this occurrence's span.
+fn absorb<'s>(
+    out: &mut DedupedSplit,
+    kept: &mut Vec<Kept<'s>>,
+    script: &str,
+    chunk: ChunkOut<'s>,
+    from: usize,
+    pos: usize,
+) {
+    out.saw_delimiter_directive |= chunk.last_directive.is_some_and(|d| d >= pos);
+    let mut global = vec![UNSEEN; chunk.uniques.len()];
+    let first = chunk.clean[from].1 as usize;
+    for &(local, span) in &chunk.occurrences[first..] {
+        let slot = &mut global[local as usize];
+        if *slot == UNSEEN {
+            let text = &script[span.start..span.end];
+            *slot = kept
+                .iter()
+                .find_map(|(slots, map)| {
+                    let s = *slots.get(text)?;
+                    match map {
+                        None => Some(s),
+                        Some(m) => Some(m[s as usize]).filter(|&g| g != UNSEEN),
+                    }
+                })
+                .unwrap_or_else(|| {
+                    out.uniques.push(SplitStatement { span, ..chunk.uniques[local as usize] });
+                    (out.uniques.len() - 1) as u32
+                });
+        }
+        out.occurrences.push((*slot, span));
     }
+    kept.push((chunk.slots, Some(global)));
 }
 
 /// One split-off statement at the span level: its span-tokens (trivia
@@ -1239,20 +1298,122 @@ mod tests {
         }
     }
 
+    /// The one-chunk split of `script`, checked against the sequential
+    /// [`split_stream`] occurrence by occurrence (spans, content hashes,
+    /// shapes, fingerprints).
+    fn one_chunk(script: &str) -> DedupedSplit {
+        let one = split_deduped_at(script, &[], Dialect::Generic);
+        assert_eq!(one.chunks, 1);
+        assert_eq!(one.statements(), split_stream(script), "one chunk on {script:?}");
+        one
+    }
+
+    /// The chunked split of `script` from explicit `starts` equals its
+    /// one-chunk split `one`: uniques (order, span, hashes), occurrences
+    /// and the directive flag. At least one start must survive, so more
+    /// than one chunk runs.
+    fn assert_chunked_split_agrees(
+        script: &str,
+        one: &DedupedSplit,
+        starts: &[usize],
+    ) -> DedupedSplit {
+        let d = split_deduped_at(script, starts, Dialect::Generic);
+        assert!(d.chunks > 1, "starts {starts:?} ran one chunk on {script:?}");
+        assert_eq!(d.uniques, one.uniques, "uniques from {starts:?} on {script:?}");
+        assert_eq!(d.occurrences, one.occurrences, "occurrences from {starts:?} on {script:?}");
+        assert_eq!(
+            d.saw_delimiter_directive, one.saw_delimiter_directive,
+            "directive flag from {starts:?} on {script:?}"
+        );
+        d
+    }
+
     #[test]
     fn chunked_split_is_identical_across_thread_counts() {
+        // Big enough (~240 KB) that every thread count below runs that
+        // many chunks of at least MIN_CHUNK_BYTES.
         let mut big = String::new();
-        for (i, s) in nasty_scripts().iter().cycle().take(200).enumerate() {
+        for (i, s) in nasty_scripts().iter().cycle().take(3200).enumerate() {
             big.push_str(s);
             big.push_str(&format!("; SELECT {i} FROM filler;\n"));
         }
+        assert!(big.len() >= 13 * MIN_CHUNK_BYTES);
         let sequential = split_stream(&big);
+        let one = split_deduped(&big, 1);
         for threads in [1, 2, 3, 5, 13] {
             assert_eq!(
                 split_stream_parallel(&big, threads),
                 sequential,
                 "chunked split diverged at {threads} thread(s)"
             );
+            let d = split_deduped(&big, threads);
+            assert_eq!(d.chunks, threads, "{threads} thread(s)");
+            assert_eq!(d.uniques, one.uniques, "{threads} thread(s)");
+            assert_eq!(d.occurrences, one.occurrences, "{threads} thread(s)");
+            assert_eq!(d.saw_delimiter_directive, one.saw_delimiter_directive);
+        }
+    }
+
+    #[test]
+    fn chunk_starts_at_every_offset_of_nasty_scripts_agree() {
+        // A start at every byte: inside strings, comments, dollar quotes,
+        // bodies and DELIMITER lines. Then pairs of starts, so a chunk
+        // that must be re-scanned meets another guessed start.
+        let mut rescanned = 0;
+        for script in nasty_scripts() {
+            let one = one_chunk(script);
+            for at in 1..script.len() {
+                rescanned += assert_chunked_split_agrees(script, &one, &[at]).rescanned_bytes;
+                assert_chunked_split_agrees(script, &one, &[at, at + 3, at + 11]);
+            }
+        }
+        assert!(rescanned > 0, "no start needed the merge's re-scan");
+    }
+
+    #[test]
+    fn chunk_starts_inside_trigger_bodies_resync() {
+        let mut big = String::new();
+        for i in 0..30 {
+            big.push_str(&format!(
+                "CREATE TRIGGER trg{i} AFTER INSERT ON t{i} FOR EACH ROW \
+                 BEGIN UPDATE u SET a = {i}; DELETE FROM v WHERE x = {i}; END;\n"
+            ));
+            big.push_str(&format!("SELECT {i} FROM filler;\n"));
+        }
+        let one = one_chunk(&big);
+        assert_eq!(one.occurrences.len(), 60);
+        // Every offset of one trigger, then a stride over the script.
+        let body = big.find("trg7 ").unwrap();
+        for at in (body..body + 120).chain((1..big.len()).step_by(29)) {
+            assert_chunked_split_agrees(&big, &one, &[at]);
+            assert_chunked_split_agrees(&big, &one, &[at, at + 40, at + 700]);
+        }
+        // Body semicolons are where the guessed starts land.
+        for threads in [2, 3, 5, 8] {
+            assert_eq!(split_stream_parallel(&big, threads), split_stream(&big), "{threads}");
+        }
+    }
+
+    #[test]
+    fn chunk_starts_inside_delimiter_regions_resync() {
+        let mut big = String::from("SELECT 0;\nDELIMITER ;;\n");
+        for i in 0..30 {
+            big.push_str(&format!("SELECT {i}; SELECT {i} ;;\n"));
+        }
+        big.push_str("DELIMITER ;\nSELECT 1;");
+        let one = one_chunk(&big);
+        assert_eq!(one.occurrences.len(), 32);
+        assert!(one.saw_delimiter_directive);
+        for at in 1..big.len() {
+            assert_chunked_split_agrees(&big, &one, &[at]);
+            assert_chunked_split_agrees(&big, &one, &[at, at + 20]);
+        }
+        // A directive only in a region the merge drops is not reported.
+        let plain = "SELECT 'DELIMITER ;;\n'; SELECT 2;";
+        let one = one_chunk(plain);
+        assert!(!one.saw_delimiter_directive);
+        for at in 1..plain.len() {
+            assert_chunked_split_agrees(plain, &one, &[at]);
         }
     }
 
@@ -1329,41 +1490,6 @@ mod tests {
         assert_eq!(split("BEGIN TRANSACTION; SELECT 1;").len(), 2);
         assert_eq!(split("SELECT CASE WHEN a THEN 1 ELSE 2 END FROM t; SELECT 2;").len(), 2);
         assert_eq!(split("CREATE TABLE t (begin INT, end INT); SELECT 1;").len(), 2);
-    }
-
-    #[test]
-    fn boundary_prescan_never_splits_inside_trigger_bodies() {
-        // Many compound statements, so naive byte-targets land inside
-        // bodies; every path must still agree.
-        let mut big = String::new();
-        for i in 0..120 {
-            big.push_str(&format!(
-                "CREATE TRIGGER trg{i} AFTER INSERT ON t{i} FOR EACH ROW \
-                 BEGIN UPDATE u SET a = {i}; DELETE FROM v WHERE x = {i}; END;\n"
-            ));
-            big.push_str(&format!("SELECT {i} FROM filler;\n"));
-        }
-        let sequential = split_stream(&big);
-        assert_eq!(sequential.len(), 240);
-        for threads in [2, 3, 5, 8] {
-            assert_eq!(split_stream_parallel(&big, threads), sequential, "{threads} threads");
-            let d = split_deduped(&big, threads);
-            assert_eq!(d.occurrences.len(), sequential.len());
-        }
-    }
-
-    #[test]
-    fn delimiter_scripts_fall_back_to_sequential_chunking() {
-        let mut big = String::from("DELIMITER ;;\n");
-        for i in 0..100 {
-            big.push_str(&format!("SELECT {i}; SELECT {i} ;;\n"));
-        }
-        big.push_str("DELIMITER ;\nSELECT 1;");
-        let sequential = split_stream(&big);
-        assert_eq!(sequential.len(), 101);
-        for threads in [2, 4, 7] {
-            assert_eq!(split_stream_parallel(&big, threads), sequential);
-        }
     }
 
     /// Development probe, not a test: attributes fused-splitter cost to
@@ -1466,16 +1592,5 @@ mod tests {
         });
         time("split_stream (fused)", bytes, || split_stream(&script).len() as u64);
         time("split_deduped", bytes, || split_deduped(&script, 1).uniques.len() as u64);
-    }
-
-    #[test]
-    fn boundary_prescan_never_splits_inside_tokens() {
-        // Force targets to land inside strings/comments/dollar quotes:
-        // every resulting chunk must still start right after a top-level
-        // `;`, which the byte-identity with the sequential path proves.
-        let script = "SELECT '; ; ; ; ; ; ; ;'; /* ;;;;;;;; */ SELECT $t$;;;;;;;;$t$; SELECT 2;";
-        for threads in 2..12 {
-            assert_eq!(split_stream_parallel(script, threads), split_stream(script));
-        }
     }
 }

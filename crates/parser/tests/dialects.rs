@@ -8,9 +8,9 @@
 //! 2. `BEGIN ATOMIC` (SQL standard) opens a block under Postgres and
 //!    Generic, so SQL-body routines survive splitting and parse with
 //!    their sub-statements;
-//! 3. Postgres scripts never pay the `DELIMITER` sequential fallback —
-//!    the word is ordinary statement text and chunk-parallel splitting
-//!    stays available.
+//! 3. under Postgres the word `DELIMITER` is ordinary statement text,
+//!    and such scripts split chunk-parallel, byte-identical to the
+//!    sequential pass (no dialect has a sequential fallback any more).
 //!
 //! The rest covers the per-dialect lexer surface (comments, identifier
 //! quoting, string styles) and keyword admissibility, plus the property
@@ -21,7 +21,8 @@ use sqlcheck_parser::diag::Limits;
 use sqlcheck_parser::lexer::{tokenize, tokenize_dialect};
 use sqlcheck_parser::parser::{parse_raw_limited, parse_raw_limited_dialect};
 use sqlcheck_parser::splitter::{
-    split, split_dialect, split_stream, split_stream_dialect, split_stream_parallel_dialect,
+    split, split_deduped_dialect, split_dialect, split_stream, split_stream_dialect,
+    split_stream_parallel_dialect,
 };
 use sqlcheck_parser::{Dialect, Statement, TokenKind};
 
@@ -105,7 +106,7 @@ fn statement_initial_begin_atomic_is_dialect_gated() {
 }
 
 // ---------------------------------------------------------------------------
-// Cleared limit 3: Postgres never pays the DELIMITER fallback
+// Cleared limit 3: Postgres `DELIMITER` is a word, and splits in chunks
 // ---------------------------------------------------------------------------
 
 /// Under Postgres, `DELIMITER` is a plain word — not a directive — so a
@@ -114,16 +115,19 @@ fn statement_initial_begin_atomic_is_dialect_gated() {
 #[test]
 fn postgres_delimiter_word_keeps_chunk_parallel_splitting() {
     let mut script = String::from("CREATE TABLE delimiter_log (id INTEGER, note VARCHAR(80));\n");
-    for i in 0..400 {
+    for i in 0..2000 {
         script.push_str(&format!(
             "INSERT INTO delimiter_log VALUES ({i}, 'DELIMITER is just a word here');\n"
         ));
     }
     let sequential = split_stream_dialect(&script, Dialect::Postgres);
-    assert_eq!(sequential.len(), 401);
+    assert_eq!(sequential.len(), 2001);
     for threads in [2, 4] {
         let parallel = split_stream_parallel_dialect(&script, threads, Dialect::Postgres);
         assert_eq!(parallel, sequential, "{threads} threads diverged");
+        let d = split_deduped_dialect(&script, threads, Dialect::Postgres);
+        assert_eq!(d.chunks, threads);
+        assert!(!d.saw_delimiter_directive);
     }
 }
 

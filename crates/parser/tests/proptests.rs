@@ -7,7 +7,10 @@
 use sqlcheck_parser::lexer::tokenize;
 use sqlcheck_parser::parser::{parse, parse_one};
 use sqlcheck_parser::fingerprint::{content_hash_bytes, shape_hash_of, shape_of};
-use sqlcheck_parser::splitter::{split_deduped, split_spanned, split_stream, split_stream_parallel};
+use sqlcheck_parser::splitter::{
+    split_deduped, split_deduped_at, split_spanned, split_stream, DedupedSplit,
+};
+use sqlcheck_parser::Dialect;
 
 /// Deterministic xorshift64* generator for test-case synthesis.
 struct Rng(u64);
@@ -229,22 +232,46 @@ fn fused_split_equals_legacy_split_on_random_scripts() {
     }
 }
 
-/// Chunk-parallel splitting must be byte-identical to the sequential
-/// fused pass for every thread count, on arbitrary input.
-#[test]
-fn parallel_split_is_identical_across_thread_counts() {
-    let mut rng = Rng::new(0xC4A9);
-    for case in 0..CASES / 2 {
-        let script = random_script(&mut rng);
-        let sequential = split_stream(&script);
-        for threads in [2, 3, 7] {
-            assert_eq!(
-                split_stream_parallel(&script, threads),
-                sequential,
-                "case {case}: {threads} thread(s) diverged on {script:?}"
-            );
-        }
+/// One to four random chunk starts inside `script` (char boundaries in
+/// `1..len`), or `None` when the script has no such offset.
+fn random_starts(rng: &mut Rng, script: &str) -> Option<Vec<usize>> {
+    let inner: Vec<usize> = (1..script.len()).filter(|&b| script.is_char_boundary(b)).collect();
+    if inner.is_empty() {
+        return None;
     }
+    Some((0..1 + rng.below(4)).map(|_| inner[rng.below(inner.len())]).collect())
+}
+
+/// The chunked split from random `starts` (more than one chunk runs).
+fn chunked(script: &str, starts: &[usize]) -> DedupedSplit {
+    let d = split_deduped_at(script, starts, Dialect::Generic);
+    assert!(d.chunks > 1, "starts {starts:?} ran one chunk on {script:?}");
+    d
+}
+
+/// Both chunked splitters (the deduped split, and the per-occurrence
+/// statements `split_stream_parallel` returns) are byte-identical to the
+/// sequential passes from random chunk starts: every start inside a
+/// string, comment, body or DELIMITER region is corrected by the merge.
+#[test]
+fn parallel_splits_agree_from_random_start_offsets() {
+    let mut rng = Rng::new(0xC4A9);
+    let mut chunked_cases = 0;
+    for case in 0..CASES {
+        let script = random_script(&mut rng);
+        let Some(starts) = random_starts(&mut rng, &script) else { continue };
+        let one = split_deduped(&script, 1);
+        let d = chunked(&script, &starts);
+        chunked_cases += 1;
+        assert_eq!(d.statements(), split_stream(&script), "case {case}: {starts:?} on {script:?}");
+        assert_eq!(d.uniques, one.uniques, "case {case}: {starts:?} on {script:?}");
+        assert_eq!(d.occurrences, one.occurrences, "case {case}: {starts:?} on {script:?}");
+        assert_eq!(
+            d.saw_delimiter_directive, one.saw_delimiter_directive,
+            "case {case}: {starts:?} on {script:?}"
+        );
+    }
+    assert!(chunked_cases > CASES / 2, "only {chunked_cases} case(s) chunked");
 }
 
 /// Splitter-level dedup must preserve the occurrence sequence exactly:
@@ -256,8 +283,9 @@ fn deduped_split_round_trips_on_random_scripts() {
     for case in 0..CASES / 2 {
         let script = random_script(&mut rng);
         let full = split_stream(&script);
-        for threads in [1, 4] {
-            let d = split_deduped(&script, threads);
+        let starts = random_starts(&mut rng, &script);
+        let chunked = starts.map(|starts| chunked(&script, &starts));
+        for d in std::iter::once(split_deduped(&script, 1)).chain(chunked) {
             assert_eq!(d.occurrences.len(), full.len(), "case {case}");
             for ((slot, span), s) in d.occurrences.iter().zip(&full) {
                 assert_eq!(*span, s.span, "case {case}: occurrence span");
@@ -291,8 +319,9 @@ fn streaming_shape_hash_equals_token_level_reference() {
             }
             encodings.push((s.shape_hash, encoding));
         }
-        for threads in [1, 3] {
-            let d = split_deduped(&script, threads);
+        let starts = random_starts(&mut rng, &script);
+        let chunked = starts.map(|starts| chunked(&script, &starts));
+        for d in std::iter::once(split_deduped(&script, 1)).chain(chunked) {
             for ((slot, _), s) in d.occurrences.iter().zip(&fused) {
                 assert_eq!(d.uniques[*slot as usize].shape_hash, s.shape_hash, "case {case}");
             }
